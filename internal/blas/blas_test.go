@@ -357,35 +357,6 @@ func TestTrsmAlphaScaling(t *testing.T) {
 	}
 }
 
-func TestTrmmAllVariants(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	for _, side := range []Side{Left, Right} {
-		for _, uplo := range []Uplo{Upper, Lower} {
-			for _, trans := range []Transpose{NoTrans, Trans} {
-				for _, diag := range []Diag{NonUnit, Unit} {
-					n := 6
-					var b *mat.Matrix
-					if side == Left {
-						b = randMat(rng, n, 7)
-					} else {
-						b = randMat(rng, 7, n)
-					}
-					tm := randTri(rng, n, uplo, diag)
-					got := b.Clone()
-					Trmm(side, uplo, trans, diag, 1.5, tm, got)
-					want := applyTri(side, uplo, trans, diag, tm, b)
-					for i := range want.Data {
-						want.Data[i] *= 1.5
-					}
-					if d := mat.MaxDiff(got, want); d > 1e-10 {
-						t.Fatalf("Trmm side=%v uplo=%v trans=%v diag=%v diff %g", side, uplo, trans, diag, d)
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestTrsmTrmmRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -69,28 +69,34 @@ func gemmPacked(transA, transB Transpose, alpha float64, a, b, c *mat.Matrix, m,
 					bp := bufB.Data[jr*kc:]
 					for ir := 0; ir < mc; ir += mr {
 						mi := min(mr, mc-ir)
-						ap := apack[ir*kc:]
-						if mi == mr && nj == nr {
-							off := (ic+ir)*c.Stride + jc + jr
-							gemmKernel(kc, ap, bp, c.Data[off:], c.Stride)
-							continue
-						}
-						// Fringe tile of C: compute the full padded MR×NR
-						// micro-tile into scratch, add back the live part.
-						for z := range tmp {
-							tmp[z] = 0
-						}
-						gemmKernel(kc, ap, bp, tmp, nr)
-						for i := 0; i < mi; i++ {
-							crow := c.Data[(ic+ir+i)*c.Stride+jc+jr:][:nj]
-							trow := tmp[i*nr:]
-							for j := range crow {
-								crow[j] += trow[j]
-							}
-						}
+						microTile(kc, apack[ir*kc:], bp, c, ic+ir, jc+jr, mi, nj, tmp)
 					}
 				}
 			}
+		}
+	}
+}
+
+// microTile runs the micro-kernel on the MR×NR tile of C at (i0, j0), of
+// which the leading mi×nj part is live: C[i0:i0+mi, j0:j0+nj] += Ap·Bp over
+// kc packed columns. Full tiles are written in place; fringe tiles compute
+// the padded micro-tile into the MR×NR scratch tmp and add back the live
+// part.
+func microTile(kc int, ap, bp []float64, c *mat.Matrix, i0, j0, mi, nj int, tmp []float64) {
+	mr, nr := gemmMR, gemmNR
+	if mi == mr && nj == nr {
+		gemmKernel(kc, ap, bp, c.Data[i0*c.Stride+j0:], c.Stride)
+		return
+	}
+	for z := range tmp {
+		tmp[z] = 0
+	}
+	gemmKernel(kc, ap, bp, tmp, nr)
+	for i := 0; i < mi; i++ {
+		crow := c.Data[(i0+i)*c.Stride+j0:][:nj]
+		trow := tmp[i*nr:]
+		for j := range crow {
+			crow[j] += trow[j]
 		}
 	}
 }
@@ -103,10 +109,10 @@ func opShape(m *mat.Matrix, t Transpose) (rows, cols int) {
 }
 
 // triBlock is the diagonal-block order of the blocked triangular drivers
-// (Trsm/Trmm). Only a triBlock-wide band of the work runs through the
-// unblocked substitution loops; everything off the diagonal is a rank-
-// triBlock GEMM update through the packed micro-kernel path, so a large
-// triangular solve runs at a large fraction of GEMM speed.
+// (Trsm, and the float32 fallbacks). Only a triBlock-wide band of the work
+// runs through the unblocked substitution loops; everything off the
+// diagonal is a rank-triBlock GEMM update through the packed micro-kernel
+// path, so a large triangular solve runs at a large fraction of GEMM speed.
 const triBlock = 32
 
 // Trsm solves op(T)·X = alpha·B (Side == Left) or X·op(T) = alpha·B
@@ -300,209 +306,6 @@ func trsmBasic(side Side, uplo Uplo, trans Transpose, diag Diag, t, b *mat.Matri
 					s /= t.At(j, j)
 				}
 				row[j] = s
-			}
-		}
-	}
-}
-
-// Trmm computes B = alpha·op(T)·B (Side == Left) or B = alpha·B·op(T)
-// (Side == Right) in place, with T triangular.
-//
-// Like Trsm, the multiply is blocked: diagonal blocks of order triBlock go
-// through the unblocked kernel and the off-diagonal coupling is GEMM.
-func Trmm(side Side, uplo Uplo, trans Transpose, diag Diag, alpha float64, t, b *mat.Matrix) {
-	n := t.Rows
-	if t.Cols != n {
-		panic(fmt.Sprintf("blas: Trmm with non-square T %dx%d", t.Rows, t.Cols))
-	}
-	if side == Left && b.Rows != n {
-		panic(fmt.Sprintf("blas: Trmm Left shape mismatch T=%d B=%dx%d", n, b.Rows, b.Cols))
-	}
-	if side == Right && b.Cols != n {
-		panic(fmt.Sprintf("blas: Trmm Right shape mismatch T=%d B=%dx%d", n, b.Rows, b.Cols))
-	}
-	if n <= triBlock {
-		trmmBasic(side, uplo, trans, diag, alpha, t, b)
-		return
-	}
-	effLower := (uplo == Lower) != (trans == Trans)
-	if side == Left {
-		// Row block i of the result couples with the original rows on op(T)'s
-		// nonzero side. Processing order keeps those rows unmodified when the
-		// GEMM reads them: top-down for an upper op(T), bottom-up for lower.
-		k := b.Cols
-		if !effLower {
-			for i0 := 0; i0 < n; i0 += triBlock {
-				bs := min(triBlock, n-i0)
-				bi := b.View(i0, 0, bs, k)
-				rest := n - i0 - bs
-				trmmBasic(Left, uplo, trans, diag, alpha, t.View(i0, i0, bs, bs), bi)
-				if rest > 0 {
-					if trans == NoTrans {
-						Gemm(NoTrans, NoTrans, alpha, t.View(i0, i0+bs, bs, rest), b.View(i0+bs, 0, rest, k), 1, bi)
-					} else {
-						Gemm(Trans, NoTrans, alpha, t.View(i0+bs, i0, rest, bs), b.View(i0+bs, 0, rest, k), 1, bi)
-					}
-				}
-			}
-			return
-		}
-		for i0 := ((n - 1) / triBlock) * triBlock; i0 >= 0; i0 -= triBlock {
-			bs := min(triBlock, n-i0)
-			bi := b.View(i0, 0, bs, k)
-			trmmBasic(Left, uplo, trans, diag, alpha, t.View(i0, i0, bs, bs), bi)
-			if i0 > 0 {
-				if trans == NoTrans {
-					Gemm(NoTrans, NoTrans, alpha, t.View(i0, 0, bs, i0), b.View(0, 0, i0, k), 1, bi)
-				} else {
-					Gemm(Trans, NoTrans, alpha, t.View(0, i0, i0, bs), b.View(0, 0, i0, k), 1, bi)
-				}
-			}
-		}
-		return
-	}
-	// Right side: column block j of B·op(T) couples with the original
-	// columns on op(T)'s nonzero side — right-to-left for upper, left-to-
-	// right for lower.
-	m := b.Rows
-	if !effLower {
-		for j0 := ((n - 1) / triBlock) * triBlock; j0 >= 0; j0 -= triBlock {
-			bs := min(triBlock, n-j0)
-			bj := b.View(0, j0, m, bs)
-			trmmBasic(Right, uplo, trans, diag, alpha, t.View(j0, j0, bs, bs), bj)
-			if j0 > 0 {
-				if trans == NoTrans {
-					Gemm(NoTrans, NoTrans, alpha, b.View(0, 0, m, j0), t.View(0, j0, j0, bs), 1, bj)
-				} else {
-					Gemm(NoTrans, Trans, alpha, b.View(0, 0, m, j0), t.View(j0, 0, bs, j0), 1, bj)
-				}
-			}
-		}
-		return
-	}
-	for j0 := 0; j0 < n; j0 += triBlock {
-		bs := min(triBlock, n-j0)
-		bj := b.View(0, j0, m, bs)
-		rest := n - j0 - bs
-		trmmBasic(Right, uplo, trans, diag, alpha, t.View(j0, j0, bs, bs), bj)
-		if rest > 0 {
-			if trans == NoTrans {
-				Gemm(NoTrans, NoTrans, alpha, b.View(0, j0+bs, m, rest), t.View(j0+bs, j0, rest, bs), 1, bj)
-			} else {
-				Gemm(NoTrans, Trans, alpha, b.View(0, j0+bs, m, rest), t.View(j0, j0+bs, bs, rest), 1, bj)
-			}
-		}
-	}
-}
-
-// trmmBasic is the unblocked triangular-multiply kernel behind Trmm.
-func trmmBasic(side Side, uplo Uplo, trans Transpose, diag Diag, alpha float64, t, b *mat.Matrix) {
-	n := t.Rows
-	lower := uplo == Lower
-	if trans == Trans {
-		lower = !lower
-	}
-	get := func(i, j int) float64 {
-		if trans == Trans {
-			return t.At(j, i)
-		}
-		return t.At(i, j)
-	}
-	if side == Left {
-		if !lower {
-			// Row i of result depends on rows i..n−1: compute top-down.
-			for i := 0; i < n; i++ {
-				bi := b.Row(i)
-				if diag == NonUnit {
-					Scal(get(i, i), bi)
-				}
-				for p := i + 1; p < n; p++ {
-					Axpy(get(i, p), b.Row(p), bi)
-				}
-				Scal(alpha, bi)
-			}
-		} else {
-			// Row i depends on rows 0..i: compute bottom-up.
-			for i := n - 1; i >= 0; i-- {
-				bi := b.Row(i)
-				if diag == NonUnit {
-					Scal(get(i, i), bi)
-				}
-				for p := 0; p < i; p++ {
-					Axpy(get(i, p), b.Row(p), bi)
-				}
-				Scal(alpha, bi)
-			}
-		}
-		return
-	}
-	// Right side: operate on each row independently.
-	if trans == Trans {
-		// op(T)[p, j] = t[j, p]: each result entry is a dot product against
-		// the contiguous row j of t. The in-place order follows the
-		// dependency direction (ascending reads x[j:], descending x[:j]).
-		for r := 0; r < b.Rows; r++ {
-			row := b.Row(r)
-			if lower {
-				for j := 0; j < n; j++ {
-					s := Dot(row[j+1:n], t.Row(j)[j+1:n])
-					if diag == NonUnit {
-						s += row[j] * t.At(j, j)
-					} else {
-						s += row[j]
-					}
-					row[j] = alpha * s
-				}
-			} else {
-				for j := n - 1; j >= 0; j-- {
-					s := Dot(row[:j], t.Row(j)[:j])
-					if diag == NonUnit {
-						s += row[j] * t.At(j, j)
-					} else {
-						s += row[j]
-					}
-					row[j] = alpha * s
-				}
-			}
-		}
-		return
-	}
-	// Untransposed: accumulate x·T into a scratch row with Axpy over t's
-	// contiguous rows, then write back.
-	buf := mat.GetBuf(n)
-	defer mat.PutBuf(buf)
-	tmp := buf.Data[:n]
-	for r := 0; r < b.Rows; r++ {
-		row := b.Row(r)
-		for j := range tmp {
-			tmp[j] = 0
-		}
-		for p := 0; p < n; p++ {
-			v := row[p]
-			if v == 0 {
-				continue
-			}
-			if !lower {
-				if diag == NonUnit {
-					Axpy(v, t.Row(p)[p:n], tmp[p:n])
-				} else {
-					tmp[p] += v
-					Axpy(v, t.Row(p)[p+1:n], tmp[p+1:n])
-				}
-			} else {
-				if diag == NonUnit {
-					Axpy(v, t.Row(p)[:p+1], tmp[:p+1])
-				} else {
-					Axpy(v, t.Row(p)[:p], tmp[:p])
-					tmp[p] += v
-				}
-			}
-		}
-		if alpha == 1 {
-			copy(row, tmp)
-		} else {
-			for j := range row {
-				row[j] = alpha * tmp[j]
 			}
 		}
 	}

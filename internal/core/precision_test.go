@@ -245,3 +245,44 @@ func TestMixedPaddedSystem(t *testing.T) {
 		t.Fatalf("padded refined re-solve HPL3 = %g", h)
 	}
 }
+
+// TestPaddedF32RefinesAtOriginalOrder pins the refinement bound of a padded
+// float32 system: the live answer and a replay through an encoded and
+// decoded factorization must both reach HPL3 ≤ refineHPL3Tol at the
+// caller's order N. Refinement once judged the padded system, whose HPL3
+// divides by the larger order and so reads smaller by up to Npad/N; these
+// orders and seeds include Gaussian operators that stopped early at
+// original-order HPL3 between 16 and 29.
+func TestPaddedF32RefinesAtOriginalOrder(t *testing.T) {
+	for _, sz := range []struct{ n, nb int }{{65, 64}, {200, 32}} {
+		for seed := int64(1); seed <= 24; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			a := matgen.Random(sz.n, rng)
+			b := matgen.RandomVector(sz.n, rng)
+			cfg := Config{Alg: LUQR, NB: sz.nb, Grid: tile.NewGrid(2, 2), Criterion: criteria.Max{Alpha: 100},
+				Workers: 2, Precision: PrecisionF32}
+			res := runOn(t, a, b, cfg)
+			if res.Report.F32Steps == 0 {
+				t.Fatalf("n=%d nb=%d seed=%d: no f32 steps", sz.n, sz.nb, seed)
+			}
+			if h := res.Report.HPL3; !(h <= refineHPL3Tol) {
+				t.Errorf("n=%d nb=%d seed=%d: live HPL3 %.3g > %g", sz.n, sz.nb, seed, h, refineHPL3Tol)
+			}
+			data, err := res.EncodeFactorization()
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec, err := DecodeFactorization(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			xs, _, err := dec.SolveBatchRefined([][]float64{b})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h := mat.HPL3(a, xs[0], b); !(h <= refineHPL3Tol) {
+				t.Errorf("n=%d nb=%d seed=%d: decoded replay HPL3 %.3g > %g", sz.n, sz.nb, seed, h, refineHPL3Tol)
+			}
+		}
+	}
+}

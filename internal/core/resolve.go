@@ -82,7 +82,7 @@ func (r *Result) SolveBatchRefined(bs [][]float64) ([][]float64, int, error) {
 	}
 	iters := 0
 	if r.Report.F32Steps > 0 {
-		iters = f.refineVecs(full, xs)
+		iters = f.refineVecs(full, xs, n)
 	}
 	out := make([][]float64, len(xs))
 	for j, x := range xs {
@@ -137,14 +137,21 @@ const (
 // alone. Returns the number of rounds performed. Vectors are full
 // tiled-order (padded) length; for a padded system the pad rows of b are
 // zero and the identity block keeps their residual exact.
-func (f *fact) refineVecs(bs, xs [][]float64) int {
-	a := f.a0
-	if a == nil {
+//
+// HPL3 is judged at n, the order of the caller's system: on a0's leading
+// n×n block and the leading n entries of x and b, exactly the figure the
+// caller sees. The padded system's own HPL3 divides by its larger order, so
+// it would read smaller by up to Npad/n and stop refinement early.
+func (f *fact) refineVecs(bs, xs [][]float64, n int) int {
+	if f.a0 == nil {
 		return 0
 	}
+	a := f.a0
+	orig := a.View(0, 0, n, n)
+	hpl3 := func(x, b []float64) float64 { return mat.HPL3(orig, x[:n], b[:n]) }
 	best := make([]float64, len(xs))
 	for j := range xs {
-		best[j] = mat.HPL3(a, xs[j], bs[j])
+		best[j] = hpl3(xs[j], bs[j])
 	}
 	iters := 0
 	for it := 0; it < refineMaxIters; it++ {
@@ -172,7 +179,7 @@ func (f *fact) refineVecs(bs, xs [][]float64) int {
 			for i := range cand {
 				cand[i] = xs[j][i] + dxs[m][i]
 			}
-			if h := mat.HPL3(a, cand, bs[j]); h < best[j] || (math.IsNaN(best[j]) && !math.IsNaN(h)) {
+			if h := hpl3(cand, bs[j]); h < best[j] || (math.IsNaN(best[j]) && !math.IsNaN(h)) {
 				copy(xs[j], cand)
 				best[j] = h
 				improved = true

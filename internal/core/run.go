@@ -50,7 +50,7 @@ func Run(a *mat.Matrix, b []float64, cfg Config) (*Result, error) {
 		ap.View(0, 0, a.Rows, a.Cols).CopyFrom(a)
 		bp := make([]float64, padded)
 		copy(bp, b)
-		res, err := Run(ap, bp, cfg)
+		res, err := run(ap, bp, cfg, a.Rows)
 		if err != nil {
 			return nil, err
 		}
@@ -59,6 +59,13 @@ func Run(a *mat.Matrix, b []float64, cfg Config) (*Result, error) {
 		res.Report.HPL3 = mat.HPL3(a, res.X, b)
 		return res, nil
 	}
+	return run(a, b, cfg, a.Rows)
+}
+
+// run factors and solves a tiled-order system (a.Rows a multiple of
+// cfg.NB). n is the order of the caller's system — a.Rows, or less when Run
+// padded it — and refinement judges convergence at that order.
+func run(a *mat.Matrix, b []float64, cfg Config, n int) (*Result, error) {
 	c, err := cfg.withDefaults(a.Rows)
 	if err != nil {
 		return nil, err
@@ -176,7 +183,7 @@ func Run(a *mat.Matrix, b []float64, cfg Config) (*Result, error) {
 	// O(N²) per round) brings it back to float64 backward error before the
 	// run's HPL3 is judged.
 	if f.report.F32Steps > 0 && !f.breakdown {
-		f.report.RefineIters = f.refineVecs([][]float64{b}, [][]float64{x})
+		f.report.RefineIters = f.refineVecs([][]float64{b}, [][]float64{x}, n)
 	}
 	f.report.HPL3 = mat.HPL3(a, x, b)
 	return &Result{X: x, Factored: ta, Report: f.report, f: f}, nil

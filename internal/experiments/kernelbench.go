@@ -75,7 +75,7 @@ func WriteKernelBench(nbs []int, reps int, out io.Writer) error {
 				Kernel: c.Kernel, NB: nb, NsPerOp: ns, GFlops: gf,
 			})
 		}
-		rep.Current = append(rep.Current, measureGemm32(nb, reps))
+		rep.Current = append(rep.Current, measureTrmm(nb, reps), measureGemm32(nb, reps))
 		rep.Current = append(rep.Current, measureQRUpdates32(nb, reps)...)
 	}
 	enc := json.NewEncoder(out)
@@ -89,25 +89,37 @@ func WriteKernelBench(nbs []int, reps int, out io.Writer) error {
 // path's kernel speedup (the quantity the acceptance criterion gates).
 func measureGemm32(nb, reps int) KernelBenchEntry {
 	rng := rand.New(rand.NewSource(99))
-	randTile := func() *mat.Matrix {
-		m := mat.New(nb, nb)
-		for i := range m.Data {
-			m.Data[i] = rng.NormFloat64()
-		}
-		return m
-	}
-	a, b, c := randTile(), randTile(), randTile()
-	// Warm the f32 packing pools and the dispatch path before timing, then
-	// amortize the measurement over enough calls to outlast timer noise — a
-	// single nb=192 call is a few hundred microseconds.
-	blas.Gemm32(blas.NoTrans, blas.NoTrans, -1, a, b, 1, c)
+	a, b, c := randTile(rng, nb), randTile(rng, nb), randTile(rng, nb)
+	return timeKernel("GEMM.f32", nb, reps, flops.Gemm(nb, nb, nb), func() {
+		blas.Gemm32(blas.NoTrans, blas.NoTrans, -1, a, b, 1, c)
+	})
+}
+
+// measureTrmm times the float64 packed TRMM at one tile order in the shape
+// of the QR update kernels' T-apply (Left, upper, transposed, in place on an
+// nb×nb W), reported as "TRMM" with the n²·k flop model. T is scaled by
+// 1/nb so repeated in-place products stay far from overflow.
+func measureTrmm(nb, reps int) KernelBenchEntry {
+	rng := rand.New(rand.NewSource(100))
+	t, w := upperTile(rng, nb), randTile(rng, nb)
+	alpha := 1 / float64(nb)
+	return timeKernel("TRMM", nb, reps, flops.Trmm(nb, nb), func() {
+		blas.Trmm(blas.Left, blas.Upper, blas.Trans, blas.NonUnit, alpha, t, w)
+	})
+}
+
+// timeKernel warms op once (pools, dispatch), then takes the best of reps
+// rounds, each amortized over enough calls to outlast timer noise — a
+// single nb=192 call is a few hundred microseconds.
+func timeKernel(kernel string, nb, reps int, model float64, op func()) KernelBenchEntry {
+	op()
 	best := 0.0
 	for r := 0; r < reps; r++ {
 		const minWall = 10 * time.Millisecond
 		iters := 0
 		t0 := time.Now()
 		for time.Since(t0) < minWall {
-			blas.Gemm32(blas.NoTrans, blas.NoTrans, -1, a, b, 1, c)
+			op()
 			iters++
 		}
 		d := time.Since(t0).Seconds() / float64(iters)
@@ -118,9 +130,31 @@ func measureGemm32(nb, reps int) KernelBenchEntry {
 	ns := best * 1e9
 	gf := 0.0
 	if ns > 0 {
-		gf = flops.Gemm(nb, nb, nb) / ns
+		gf = model / ns // flops / ns == GFLOP/s
 	}
-	return KernelBenchEntry{Kernel: "GEMM.f32", NB: nb, NsPerOp: ns, GFlops: gf}
+	return KernelBenchEntry{Kernel: kernel, NB: nb, NsPerOp: ns, GFlops: gf}
+}
+
+// randTile returns an nb×nb standard normal tile.
+func randTile(rng *rand.Rand, nb int) *mat.Matrix {
+	m := mat.New(nb, nb)
+	for i := range m.Data {
+		m.Data[i] = rng.NormFloat64()
+	}
+	return m
+}
+
+// upperTile returns a random upper triangular tile with its diagonal
+// shifted by nb, so triangular solves against it stay well posed.
+func upperTile(rng *rand.Rand, nb int) *mat.Matrix {
+	m := randTile(rng, nb)
+	for i := 0; i < nb; i++ {
+		for j := 0; j < i; j++ {
+			m.Set(i, j, 0)
+		}
+		m.Set(i, i, m.At(i, i)+float64(nb))
+	}
+	return m
 }
 
 // measureQRUpdates32 times the float32 QR update kernels — UNMQR, TSMQR,
@@ -131,65 +165,27 @@ func measureGemm32(nb, reps int) KernelBenchEntry {
 // is meant to lift.
 func measureQRUpdates32(nb, reps int) []KernelBenchEntry {
 	rng := rand.New(rand.NewSource(101))
-	randTile := func() *mat.Matrix {
-		m := mat.New(nb, nb)
-		for i := range m.Data {
-			m.Data[i] = rng.NormFloat64()
-		}
-		return m
-	}
-	upperTile := func() *mat.Matrix {
-		m := randTile()
-		for i := 0; i < nb; i++ {
-			for j := 0; j < i; j++ {
-				m.Set(i, j, 0)
-			}
-			m.Set(i, i, m.At(i, i)+float64(nb)) // keep solves well posed
-		}
-		return m
-	}
-	timeOne := func(kernel string, model float64, setup func() func()) KernelBenchEntry {
-		op := setup()
-		op() // warm pools and dispatch before timing
-		best := 0.0
-		for r := 0; r < reps; r++ {
-			const minWall = 10 * time.Millisecond
-			iters := 0
-			t0 := time.Now()
-			for time.Since(t0) < minWall {
-				op()
-				iters++
-			}
-			d := time.Since(t0).Seconds() / float64(iters)
-			if best == 0 || d < best {
-				best = d
-			}
-		}
-		ns := best * 1e9
-		gf := 0.0
-		if ns > 0 {
-			gf = model / ns
-		}
-		return KernelBenchEntry{Kernel: kernel, NB: nb, NsPerOp: ns, GFlops: gf}
-	}
+	unmqr := func() func() {
+		a, t := randTile(rng, nb), mat.New(nb, nb)
+		lapack.Geqrt(a, t)
+		c := randTile(rng, nb)
+		return func() { lapack.Unmqr32(blas.Trans, a, t, c) }
+	}()
+	tsmqr := func() func() {
+		r, a, t := upperTile(rng, nb), randTile(rng, nb), mat.New(nb, nb)
+		lapack.Tsqrt(r, a, t)
+		c1, c2 := randTile(rng, nb), randTile(rng, nb)
+		return func() { lapack.Tsmqr32(blas.Trans, a, t, c1, c2) }
+	}()
+	ttmqr := func() func() {
+		r1, r2, t := upperTile(rng, nb), upperTile(rng, nb), mat.New(nb, nb)
+		lapack.Ttqrt(r1, r2, t)
+		c1, c2 := randTile(rng, nb), randTile(rng, nb)
+		return func() { lapack.Ttmqr32(blas.Trans, r2, t, c1, c2) }
+	}()
 	return []KernelBenchEntry{
-		timeOne("UNMQR.f32", flops.Unmqr(nb, nb), func() func() {
-			a, t := randTile(), mat.New(nb, nb)
-			lapack.Geqrt(a, t)
-			c := randTile()
-			return func() { lapack.Unmqr32(blas.Trans, a, t, c) }
-		}),
-		timeOne("TSMQR.f32", flops.Tsmqr(nb, nb), func() func() {
-			r, a, t := upperTile(), randTile(), mat.New(nb, nb)
-			lapack.Tsqrt(r, a, t)
-			c1, c2 := randTile(), randTile()
-			return func() { lapack.Tsmqr32(blas.Trans, a, t, c1, c2) }
-		}),
-		timeOne("TTMQR.f32", flops.Ttmqr(nb, nb), func() func() {
-			r1, r2, t := upperTile(), upperTile(), mat.New(nb, nb)
-			lapack.Ttqrt(r1, r2, t)
-			c1, c2 := randTile(), randTile()
-			return func() { lapack.Ttmqr32(blas.Trans, r2, t, c1, c2) }
-		}),
+		timeKernel("UNMQR.f32", nb, reps, flops.Unmqr(nb, nb), unmqr),
+		timeKernel("TSMQR.f32", nb, reps, flops.Tsmqr(nb, nb), tsmqr),
+		timeKernel("TTMQR.f32", nb, reps, flops.Ttmqr(nb, nb), ttmqr),
 	}
 }

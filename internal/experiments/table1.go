@@ -36,24 +36,6 @@ func Table1(nb int, reps int, out io.Writer) []KernelCost {
 		reps = 5
 	}
 	rng := rand.New(rand.NewSource(99))
-	randTile := func() *mat.Matrix {
-		m := mat.New(nb, nb)
-		for i := range m.Data {
-			m.Data[i] = rng.NormFloat64()
-		}
-		return m
-	}
-	upperTile := func() *mat.Matrix {
-		m := randTile()
-		for i := 0; i < nb; i++ {
-			for j := 0; j < i; j++ {
-				m.Set(i, j, 0)
-			}
-			m.Set(i, i, m.At(i, i)+float64(nb)) // keep solves well posed
-		}
-		return m
-	}
-
 	unit := float64(nb) * float64(nb) * float64(nb)
 	measure := func(setup func() func()) float64 {
 		best := 0.0
@@ -71,45 +53,45 @@ func Table1(nb int, reps int, out io.Writer) []KernelCost {
 
 	costs := []KernelCost{
 		{Kernel: "GETRF", ModelUnits: flops.Getrf(nb, nb) / unit, MeasuredMs: 1e3 * measure(func() func() {
-			a := randTile()
+			a := randTile(rng, nb)
 			return func() { _, _ = lapack.Getrf(a) }
 		})},
 		{Kernel: "TRSM", ModelUnits: flops.Trsm(nb, nb) / unit, MeasuredMs: 1e3 * measure(func() func() {
-			tt, b := upperTile(), randTile()
+			tt, b := upperTile(rng, nb), randTile(rng, nb)
 			return func() { blas.Trsm(blas.Right, blas.Upper, blas.NoTrans, blas.NonUnit, 1, tt, b) }
 		})},
 		{Kernel: "GEMM", ModelUnits: flops.Gemm(nb, nb, nb) / unit, MeasuredMs: 1e3 * measure(func() func() {
-			a, b, c := randTile(), randTile(), randTile()
+			a, b, c := randTile(rng, nb), randTile(rng, nb), randTile(rng, nb)
 			return func() { blas.Gemm(blas.NoTrans, blas.NoTrans, -1, a, b, 1, c) }
 		})},
 		{Kernel: "GEQRT", ModelUnits: flops.Geqrt(nb, nb) / unit, MeasuredMs: 1e3 * measure(func() func() {
-			a, t := randTile(), mat.New(nb, nb)
+			a, t := randTile(rng, nb), mat.New(nb, nb)
 			return func() { lapack.Geqrt(a, t) }
 		})},
 		{Kernel: "TSQRT", ModelUnits: flops.Tsqrt(nb) / unit, MeasuredMs: 1e3 * measure(func() func() {
-			r, a, t := upperTile(), randTile(), mat.New(nb, nb)
+			r, a, t := upperTile(rng, nb), randTile(rng, nb), mat.New(nb, nb)
 			return func() { lapack.Tsqrt(r, a, t) }
 		})},
 		{Kernel: "TSMQR", ModelUnits: flops.Tsmqr(nb, nb) / unit, MeasuredMs: 1e3 * measure(func() func() {
-			r, a, t := upperTile(), randTile(), mat.New(nb, nb)
+			r, a, t := upperTile(rng, nb), randTile(rng, nb), mat.New(nb, nb)
 			lapack.Tsqrt(r, a, t)
-			c1, c2 := randTile(), randTile()
+			c1, c2 := randTile(rng, nb), randTile(rng, nb)
 			return func() { lapack.Tsmqr(blas.Trans, a, t, c1, c2) }
 		})},
 		{Kernel: "UNMQR", ModelUnits: flops.Unmqr(nb, nb) / unit, MeasuredMs: 1e3 * measure(func() func() {
-			a, t := randTile(), mat.New(nb, nb)
+			a, t := randTile(rng, nb), mat.New(nb, nb)
 			lapack.Geqrt(a, t)
-			c := randTile()
+			c := randTile(rng, nb)
 			return func() { lapack.Unmqr(blas.Trans, a, t, c) }
 		})},
 		{Kernel: "TTQRT", ModelUnits: flops.Ttqrt(nb) / unit, MeasuredMs: 1e3 * measure(func() func() {
-			r1, r2, t := upperTile(), upperTile(), mat.New(nb, nb)
+			r1, r2, t := upperTile(rng, nb), upperTile(rng, nb), mat.New(nb, nb)
 			return func() { lapack.Ttqrt(r1, r2, t) }
 		})},
 		{Kernel: "TTMQR", ModelUnits: flops.Ttmqr(nb, nb) / unit, MeasuredMs: 1e3 * measure(func() func() {
-			r1, r2, t := upperTile(), upperTile(), mat.New(nb, nb)
+			r1, r2, t := upperTile(rng, nb), upperTile(rng, nb), mat.New(nb, nb)
 			lapack.Ttqrt(r1, r2, t)
-			c1, c2 := randTile(), randTile()
+			c1, c2 := randTile(rng, nb), randTile(rng, nb)
 			return func() { lapack.Ttmqr(blas.Trans, r2, t, c1, c2) }
 		})},
 	}

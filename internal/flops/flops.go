@@ -29,6 +29,12 @@ func Trsm(n, k int) float64 {
 	return float64(n) * float64(n) * float64(k)
 }
 
+// Trmm returns the flop count of a triangular multiply of order n applied
+// to k columns: n²·k.
+func Trmm(n, k int) float64 {
+	return float64(n) * float64(n) * float64(k)
+}
+
 // Gemm returns the flop count of an m×k by k×n multiply-accumulate: 2mnk.
 func Gemm(m, n, k int) float64 {
 	return 2 * float64(m) * float64(n) * float64(k)

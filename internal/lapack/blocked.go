@@ -1,6 +1,7 @@
 package lapack
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"luqr/internal/blas"
@@ -58,22 +59,23 @@ func larftMerge(t *mat.Matrix, j0, bs int, y *mat.Matrix) {
 	}
 }
 
-// subRows computes dst −= src row-wise for equally shaped matrices.
+// subRows computes dst −= src row-wise for equally shaped matrices: the
+// identity block of a [I; V2] reflector, C1 −= W.
 func subRows(dst, src *mat.Matrix) {
 	for i := 0; i < dst.Rows; i++ {
-		d, s := dst.Row(i), src.Row(i)
-		for c := range d {
-			d[c] -= s[c]
-		}
+		blas.Axpy(-1, src.Row(i), dst.Row(i))
 	}
 }
 
-// addRows computes dst += src row-wise for equally shaped matrices.
-func addRows(dst, src *mat.Matrix) {
-	for i := 0; i < dst.Rows; i++ {
-		d, s := dst.Row(i), src.Row(i)
-		for c := range d {
-			d[c] += s[c]
-		}
+// view returns the rows×cols block of m at (i, j) by value, so the update
+// kernels keep their sub-matrix headers on the stack and stay allocation-
+// free (mat.View returns a heap-allocated header).
+func view(m *mat.Matrix, i, j, rows, cols int) mat.Matrix {
+	if i < 0 || j < 0 || rows < 0 || cols < 0 || i+rows > m.Rows || j+cols > m.Cols {
+		panic(fmt.Sprintf("lapack: view (%d,%d,%d,%d) out of range %dx%d", i, j, rows, cols, m.Rows, m.Cols))
 	}
+	if rows == 0 || cols == 0 {
+		return mat.Matrix{Rows: rows, Cols: cols, Stride: m.Stride}
+	}
+	return mat.Matrix{Rows: rows, Cols: cols, Stride: m.Stride, Data: m.Data[i*m.Stride+j:]}
 }

@@ -48,7 +48,7 @@ func GeqrtIB(a, t *mat.Matrix, ib int) {
 		geqrtUnblocked(v, tb)
 		// Trailing update: the strip's reflectors were generated first-to-
 		// last, so the trailing columns receive Qᵀ = I − V·Tᵀ·Vᵀ — exactly
-		// Unmqr with trans, through the blocked TRMM/GEMM path.
+		// Unmqr with trans, through the packed TRMM/GEMM path.
 		if j0+bs < n {
 			Unmqr(blas.Trans, v, tb, a.View(j0, j0+bs, m-j0, n-j0-bs))
 		}
@@ -141,42 +141,37 @@ func geqrtUnblocked(a, t *mat.Matrix) {
 //
 // with Q = I − V·T·Vᵀ. c must have v.Rows rows.
 //
-// All three stages run through blocked BLAS: W = VᵀC splits into a unit-
-// lower TRMM on the top square of V plus a GEMM on the trapezoid below,
-// T is applied by TRMM, and C −= V·W is the mirror TRMM + GEMM pair. The
-// unit-diagonal TRMMs never read V's diagonal or upper triangle, so the R
-// values sharing the tile are ignored exactly as in the scalar kernel.
+// All three stages run through the packed BLAS: W = VᵀC is a unit-lower
+// TRMM-accumulate on the top square of V plus a GEMM on the trapezoid
+// below, T is applied by an in-place TRMM, and C −= V·W is the mirror
+// TRMM-accumulate + GEMM pair, so no second copy of W and no separate
+// subtraction pass are needed. The unit-diagonal TRMMs never read V's
+// diagonal or upper triangle, so the R values sharing the tile are ignored
+// exactly as in the scalar kernel.
 func Unmqr(trans blas.Transpose, v, t, c *mat.Matrix) {
 	m, n := v.Rows, v.Cols
 	if c.Rows != m {
 		panic(fmt.Sprintf("lapack: Unmqr shape mismatch V=%dx%d C=%dx%d", m, n, c.Rows, c.Cols))
 	}
 	k := c.Cols
-	v1 := v.View(0, 0, n, n)
-	c1 := c.View(0, 0, n, k)
-	// W = V1ᵀ·C1 + V2ᵀ·C2. CopyFrom overwrites every row, so a pooled
-	// (unzeroed) buffer is safe.
-	w, wbuf := mat.GetMatrix(n, k)
+	v1, c1, tn := view(v, 0, 0, n, n), view(c, 0, 0, n, k), view(t, 0, 0, n, n)
+	v2, c2 := view(v, n, 0, m-n, n), view(c, n, 0, m-n, k)
+	wbuf := mat.GetBuf(n * k)
 	defer mat.PutBuf(wbuf)
-	w.CopyFrom(c1)
-	blas.Trmm(blas.Left, blas.Lower, blas.Trans, blas.Unit, 1, v1, w)
+	w := wbuf.Matrix(n, k)
+	// W = V1ᵀ·C1 + V2ᵀ·C2. The GEMM (or the explicit clear) writes every
+	// entry first, so the pooled buffer needs no zeroing of its own.
 	if m > n {
-		blas.Gemm(blas.Trans, blas.NoTrans, 1, v.View(n, 0, m-n, n), c.View(n, 0, m-n, k), 1, w)
-	}
-	// W ← op(T)·W with T upper triangular.
-	tview := t.View(0, 0, n, n)
-	if trans == blas.Trans {
-		blas.Trmm(blas.Left, blas.Upper, blas.Trans, blas.NonUnit, 1, tview, w)
+		blas.Gemm(blas.Trans, blas.NoTrans, 1, &v2, &c2, 0, w)
 	} else {
-		blas.Trmm(blas.Left, blas.Upper, blas.NoTrans, blas.NonUnit, 1, tview, w)
+		w.Zero()
 	}
-	// C1 −= V1·W (via a TRMM on a copy);  C2 −= V2·W.
-	w2, w2buf := mat.GetMatrix(n, k)
-	defer mat.PutBuf(w2buf)
-	w2.CopyFrom(w)
-	blas.Trmm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 1, v1, w2)
-	subRows(c1, w2)
+	blas.TrmmAdd(blas.Left, blas.Lower, blas.Trans, blas.Unit, 1, &v1, &c1, w)
+	// W ← op(T)·W with T upper triangular.
+	blas.Trmm(blas.Left, blas.Upper, trans, blas.NonUnit, 1, &tn, w)
+	// C1 −= V1·W;  C2 −= V2·W.
+	blas.TrmmAdd(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, -1, &v1, w, &c1)
 	if m > n {
-		blas.Gemm(blas.NoTrans, blas.NoTrans, -1, v.View(n, 0, m-n, n), w, 1, c.View(n, 0, m-n, k))
+		blas.Gemm(blas.NoTrans, blas.NoTrans, -1, &v2, w, 1, &c2)
 	}
 }

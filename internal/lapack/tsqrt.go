@@ -135,19 +135,16 @@ func Tsmqr(trans blas.Transpose, v2, t, c1, c2 *mat.Matrix) {
 			m, n, c1.Rows, c1.Cols, c2.Rows, c2.Cols))
 	}
 	k := c1.Cols
+	tn := view(t, 0, 0, n, n)
 	// W = C1 + V2ᵀ·C2. CopyFrom overwrites every row, so the pooled buffer
 	// needs no zeroing.
-	w, wbuf := mat.GetMatrix(n, k)
+	wbuf := mat.GetBuf(n * k)
 	defer mat.PutBuf(wbuf)
+	w := wbuf.Matrix(n, k)
 	w.CopyFrom(c1)
 	blas.Gemm(blas.Trans, blas.NoTrans, 1, v2, c2, 1, w)
 	// W ← op(T)·W.
-	tview := t.View(0, 0, n, n)
-	if trans == blas.Trans {
-		blas.Trmm(blas.Left, blas.Upper, blas.Trans, blas.NonUnit, 1, tview, w)
-	} else {
-		blas.Trmm(blas.Left, blas.Upper, blas.NoTrans, blas.NonUnit, 1, tview, w)
-	}
+	blas.Trmm(blas.Left, blas.Upper, trans, blas.NonUnit, 1, &tn, w)
 	// C1 −= W;  C2 −= V2·W.
 	subRows(c1, w)
 	blas.Gemm(blas.NoTrans, blas.NoTrans, -1, v2, w, 1, c2)

@@ -71,34 +71,31 @@ func TtqrtIB(r1, r2, t *mat.Matrix, ib int) {
 // ttqrtApply pushes the [j0,j0+bs) strip's block reflector (Qᵀ, matching
 // the first-to-last generation order) across the trailing columns: C1 is
 // rows j0..j0+bs of R1, C2 is rows 0..j0+bs of R2. The V2 trapezoid splits
-// into its dense top D (GEMM) and triangular diagonal block (TRMM on a
-// copy), keeping R2's strictly-lower storage untouched.
+// into its dense top D (GEMM) and triangular diagonal block (TRMM-
+// accumulate reading only its upper triangle), keeping R2's strictly-lower
+// storage untouched.
 func ttqrtApply(r1, r2, tb *mat.Matrix, j0, bs, rest int) {
-	c1 := r1.View(j0, j0+bs, bs, rest)
-	tri := r2.View(j0, j0, bs, bs)
-	c2bot := r2.View(j0, j0+bs, bs, rest)
+	c1 := view(r1, j0, j0+bs, bs, rest)
+	tri := view(r2, j0, j0, bs, bs)
+	c2bot := view(r2, j0, j0+bs, bs, rest)
+	d, c2top := view(r2, 0, j0, j0, bs), view(r2, 0, j0+bs, j0, rest)
 	// W = C1 + Dᵀ·C2top + Triᵀ·C2bot.
-	w, wbuf := mat.GetMatrix(bs, rest)
+	wbuf := mat.GetBuf(bs * rest)
 	defer mat.PutBuf(wbuf)
-	w.CopyFrom(c1)
+	w := wbuf.Matrix(bs, rest)
+	w.CopyFrom(&c1)
 	if j0 > 0 {
-		blas.Gemm(blas.Trans, blas.NoTrans, 1, r2.View(0, j0, j0, bs), r2.View(0, j0+bs, j0, rest), 1, w)
+		blas.Gemm(blas.Trans, blas.NoTrans, 1, &d, &c2top, 1, w)
 	}
-	wt, wtbuf := mat.GetMatrix(bs, rest)
-	defer mat.PutBuf(wtbuf)
-	wt.CopyFrom(c2bot)
-	blas.Trmm(blas.Left, blas.Upper, blas.Trans, blas.NonUnit, 1, tri, wt)
-	addRows(w, wt)
+	blas.TrmmAdd(blas.Left, blas.Upper, blas.Trans, blas.NonUnit, 1, &tri, &c2bot, w)
 	// W ← Tᵀ·W.
 	blas.Trmm(blas.Left, blas.Upper, blas.Trans, blas.NonUnit, 1, tb, w)
 	// C1 −= W;  C2top −= D·W;  C2bot −= Tri·W.
-	subRows(c1, w)
+	subRows(&c1, w)
 	if j0 > 0 {
-		blas.Gemm(blas.NoTrans, blas.NoTrans, -1, r2.View(0, j0, j0, bs), w, 1, r2.View(0, j0+bs, j0, rest))
+		blas.Gemm(blas.NoTrans, blas.NoTrans, -1, &d, w, 1, &c2top)
 	}
-	wt.CopyFrom(w)
-	blas.Trmm(blas.Left, blas.Upper, blas.NoTrans, blas.NonUnit, 1, tri, wt)
-	subRows(c2bot, wt)
+	blas.TrmmAdd(blas.Left, blas.Upper, blas.NoTrans, blas.NonUnit, -1, &tri, w, &c2bot)
 }
 
 // ttqrtUnblocked is the column-by-column TT leaf. r1 is bs×bs upper
@@ -167,8 +164,9 @@ func ttqrtUnblocked(r1, r2, t *mat.Matrix, off int) {
 //	[C1; C2] ← op(Q)·[C1; C2],  Q = I − [I; V2]·T·[I; V2]ᵀ
 //
 // v2 holds V2 in its upper triangle (lower part ignored), t the T factor.
-// The three multiplications by the triangular V2 and T run through the
-// blocked TRMM path (on copies, since TRMM works in place).
+// The two products with the triangular V2 are TRMM-accumulates straight
+// between the tiles and W, and T is applied by an in-place TRMM, all on
+// the packed path, so W is the only scratch.
 func Ttmqr(trans blas.Transpose, v2, t, c1, c2 *mat.Matrix) {
 	n := v2.Rows
 	if v2.Cols != n || c1.Rows != n || c2.Rows != n || c1.Cols != c2.Cols {
@@ -176,21 +174,16 @@ func Ttmqr(trans blas.Transpose, v2, t, c1, c2 *mat.Matrix) {
 			v2.Rows, v2.Cols, c1.Rows, c1.Cols, c2.Rows, c2.Cols))
 	}
 	k := c1.Cols
+	tn := view(t, 0, 0, n, n)
 	// W = C1 + V2ᵀ·C2, reading only V2's upper triangle.
-	w, wbuf := mat.GetMatrix(n, k)
+	wbuf := mat.GetBuf(n * k)
 	defer mat.PutBuf(wbuf)
-	w.CopyFrom(c2)
-	blas.Trmm(blas.Left, blas.Upper, blas.Trans, blas.NonUnit, 1, v2, w)
-	addRows(w, c1)
+	w := wbuf.Matrix(n, k)
+	w.CopyFrom(c1)
+	blas.TrmmAdd(blas.Left, blas.Upper, blas.Trans, blas.NonUnit, 1, v2, c2, w)
 	// W ← op(T)·W.
-	tview := t.View(0, 0, n, n)
-	if trans == blas.Trans {
-		blas.Trmm(blas.Left, blas.Upper, blas.Trans, blas.NonUnit, 1, tview, w)
-	} else {
-		blas.Trmm(blas.Left, blas.Upper, blas.NoTrans, blas.NonUnit, 1, tview, w)
-	}
+	blas.Trmm(blas.Left, blas.Upper, trans, blas.NonUnit, 1, &tn, w)
 	// C1 −= W;  C2 −= V2·W (upper triangle of V2 only).
 	subRows(c1, w)
-	blas.Trmm(blas.Left, blas.Upper, blas.NoTrans, blas.NonUnit, 1, v2, w)
-	subRows(c2, w)
+	blas.TrmmAdd(blas.Left, blas.Upper, blas.NoTrans, blas.NonUnit, -1, v2, w, c2)
 }

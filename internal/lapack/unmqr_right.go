@@ -47,12 +47,7 @@ func UnmqrRight(trans blas.Transpose, v, t, c *mat.Matrix) {
 		}
 	}
 	// W ← W·op(T): c·Q = c − (C·V)·T·Vᵀ, c·Qᵀ = c − (C·V)·Tᵀ·Vᵀ.
-	tview := t.View(0, 0, n, n)
-	if trans == blas.Trans {
-		blas.Trmm(blas.Right, blas.Upper, blas.Trans, blas.NonUnit, 1, tview, w)
-	} else {
-		blas.Trmm(blas.Right, blas.Upper, blas.NoTrans, blas.NonUnit, 1, tview, w)
-	}
+	blas.Trmm(blas.Right, blas.Upper, trans, blas.NonUnit, 1, t.View(0, 0, n, n), w)
 	// C ← C − W·Vᵀ: C[:, q] −= Σ_j W[:, j]·v(q, j) (+ the identity part).
 	for r := 0; r < k; r++ {
 		crow := c.Row(r)
