@@ -24,6 +24,13 @@ test:
 race:
 	$(GO) test -race ./...
 
+# perfbench-test runs the caller-side benchmark's own tests: every workload
+# at a small size, including its HPL3 and replay-answer checks. perfbench is
+# its own module, so it runs outside any workspace.
+.PHONY: perfbench-test
+perfbench-test:
+	cd perfbench && GOWORK=off $(GO) test ./...
+
 # docs-lint runs the documentation checks on their own: no PLACEHOLDER
 # markers in tracked *.md/*.json, no broken relative links in the curated
 # doc set. `make test` runs these too (they live in docs_test.go).

@@ -8,14 +8,14 @@ import (
 	"luqr/internal/mat"
 )
 
-// Pinning tests for the packed f32 triangular paths: Trmm32 materializes the
-// triangle densely and runs one in-place Gemm32; Trsm32 recurses with packed
-// GEMM couplings. Both must agree with the scalar basic kernels at float32
+// Pinning tests for the packed f32 triangular paths: Trmm32 packs op(T)
+// from its stored triangle into the micro-kernel's panels (trmm32.go);
+// Trsm32 recurses with packed GEMM couplings. Both must agree with the scalar basic kernels at float32
 // resolution (accumulation order differs, so agreement is tolerance-gated),
 // and the resident siblings must stay bit-identical through the new paths.
 
 // TestTrmm32PackedMatchesBasic drives every Trmm32 variant at orders that
-// take the packed dense-triangle path and compares against trmmBasic32 on
+// span one and several micro-panels and compares against trmmBasic32 on
 // the same data; the resident Trmm32R must match Trmm32 bit-for-bit.
 func TestTrmm32PackedMatchesBasic(t *testing.T) {
 	check := func(t *testing.T, orders []int) {
@@ -51,16 +51,16 @@ func TestTrmm32PackedMatchesBasic(t *testing.T) {
 			}
 		}
 	}
-	t.Run("hostKernel", func(t *testing.T) { check(t, []int{trmmPackMin, 40, 96}) })
+	t.Run("hostKernel", func(t *testing.T) { check(t, []int{16, 40, 96}) })
 	t.Run("portableKernel", func(t *testing.T) {
-		withKernel32(4, 4, kernelGeneric4x4f32, func() { check(t, []int{trmmPackMin, 40}) })
+		withKernel32(4, 4, kernelGeneric4x4f32, func() { check(t, []int{16, 40}) })
 	})
 }
 
 // TestTrmm32PackedIgnoresOffTriangle poisons the unused half of T (and, for
 // Unit, the diagonal) with NaN and requires the packed path to reproduce the
-// basic kernel exactly as if the poison were absent — the materialization
-// must never read outside the stored triangle. This is the contract the QR
+// basic kernel exactly as if the poison were absent — the packing must never
+// read outside the stored triangle. This is the contract the QR
 // update kernels rely on: the V factor's super-diagonal holds R values.
 func TestTrmm32PackedIgnoresOffTriangle(t *testing.T) {
 	rng := rand.New(rand.NewSource(223))

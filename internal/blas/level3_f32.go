@@ -22,11 +22,6 @@ import (
 // off-diagonal coupling runs through the packed Gemm32/Gemm32R path.
 const trsmRecLeaf = 8
 
-// trmmPackMin is the order from which the f32 triangular multiplies
-// materialize the triangle densely and run as one packed GEMM; below it the
-// scalar kernel's lower constant wins over the ~2× padded flops.
-const trmmPackMin = 16
-
 // Gemm32 computes C = alpha·op(A)·op(B) + beta·C in float32 arithmetic.
 //
 // The accumulator is a zeroed float32 scratch block padded to whole
@@ -61,14 +56,14 @@ func Gemm32(transA, transB Transpose, alpha float64, a, b *mat.Matrix, beta floa
 // Blocking constants are shared with the f64 path — MC and NC are multiples
 // of both micro-tile geometries — so every kernel call is a full micro-tile.
 //
-// Aliasing contract (the packed f32 triangular multiplies depend on it):
-// C may alias the B operand unconditionally, and the A operand when
-// n <= gemmNC. All of slab jc's packB reads complete before any merge writes
-// to columns jc (packB runs per (jc, pc) and merges only fire on the last
-// pc), merges touch only columns jc, and within the last k-slab packA of row
-// block ic precedes the merges of row block ic while later row blocks are
-// row-disjoint. With more than one jc slab, packA would re-read columns an
-// earlier slab already merged — hence the gemmNC bound for A aliasing.
+// Aliasing contract: C may alias the B operand unconditionally, and the A
+// operand when n <= gemmNC. All of slab jc's packB reads complete before any
+// merge writes to columns jc (packB runs per (jc, pc) and merges only fire
+// on the last pc), merges touch only columns jc, and within the last k-slab
+// packA of row block ic precedes the merges of row block ic while later row
+// blocks are row-disjoint. With more than one jc slab, packA would re-read
+// columns an earlier slab already merged — hence the gemmNC bound for A
+// aliasing.
 func gemmPacked32(transA, transB Transpose, alpha, beta float32, a, b, c *mat.Matrix, acc []float32, ldc, m, n, k int) {
 	mr, nr := gemmMR32, gemmNR32
 	kcMax := min(k, gemmKC)
@@ -85,10 +80,10 @@ func gemmPacked32(transA, transB Transpose, alpha, beta float32, a, b, c *mat.Ma
 		for pc := 0; pc < k; pc += gemmKC {
 			kc := min(gemmKC, k-pc)
 			first, last := pc == 0, pc+gemmKC >= k
-			packB32(bufB.Data, b, transB, jc, pc, kc, nc, nr)
+			packB32(bufB.Data, dense64(b), transB, jc, pc, kc, nc, nr)
 			for ic := 0; ic < m; ic += gemmMC {
 				mc := min(gemmMC, m-ic)
-				packA32(bufA.Data, a, transA, alpha, ic, pc, mc, kc, mr)
+				packA32(bufA.Data, dense64(a), transA, alpha, ic, pc, mc, kc, mr)
 				for jr := 0; jr < nc; jr += nr {
 					bp := bufB.Data[jr*kc:]
 					for ir := 0; ir < mc; ir += mr {
@@ -345,254 +340,6 @@ func trsmBasic32(side Side, uplo Uplo, trans Transpose, diag Diag, t, b *mat.Mat
 				}
 				row[j] = float64(s)
 			}
-		}
-	}
-}
-
-// Trmm32 computes B = alpha·op(T)·B (Side == Left) or B = alpha·B·op(T)
-// (Side == Right) in place at float32.
-//
-// From order trmmPackMin the triangle is materialized densely — zeros off
-// the triangle, exact ones on a Unit diagonal, op() resolved so only the
-// stored triangle of T is ever read — and the whole multiply runs as a
-// single in-place packed Gemm32 (see the aliasing contract on
-// gemmPacked32). The padding costs ~2× the triangle's flops but they retire
-// at micro-kernel rate, which wins well before nb-sized operands; the
-// ib-strip T-factor multiplies of the QR update kernels are the main
-// beneficiary. A Right-side multiply with n > gemmNC would need columns
-// repacked after they were merged, so that case (and tiny orders) keeps the
-// triBlock-blocked driver.
-func Trmm32(side Side, uplo Uplo, trans Transpose, diag Diag, alpha float64, t, b *mat.Matrix) {
-	n := t.Rows
-	if t.Cols != n {
-		panic(fmt.Sprintf("blas: Trmm32 with non-square T %dx%d", t.Rows, t.Cols))
-	}
-	if side == Left && b.Rows != n {
-		panic(fmt.Sprintf("blas: Trmm32 Left shape mismatch T=%d B=%dx%d", n, b.Rows, b.Cols))
-	}
-	if side == Right && b.Cols != n {
-		panic(fmt.Sprintf("blas: Trmm32 Right shape mismatch T=%d B=%dx%d", n, b.Rows, b.Cols))
-	}
-	if n >= trmmPackMin && (side == Left || n <= gemmNC) {
-		tri, tribuf := mat.GetMatrix(n, n)
-		defer mat.PutBuf(tribuf)
-		materializeTri32(tri, t, uplo, trans, diag)
-		if side == Left {
-			Gemm32(NoTrans, NoTrans, alpha, tri, b, 0, b)
-		} else {
-			Gemm32(NoTrans, NoTrans, alpha, b, tri, 0, b)
-		}
-		return
-	}
-	if n <= triBlock {
-		trmmBasic32(side, uplo, trans, diag, float32(alpha), t, b)
-		return
-	}
-	alpha32 := float32(alpha)
-	effLower := (uplo == Lower) != (trans == Trans)
-	if side == Left {
-		k := b.Cols
-		if !effLower {
-			for i0 := 0; i0 < n; i0 += triBlock {
-				bs := min(triBlock, n-i0)
-				bi := b.View(i0, 0, bs, k)
-				rest := n - i0 - bs
-				trmmBasic32(Left, uplo, trans, diag, alpha32, t.View(i0, i0, bs, bs), bi)
-				if rest > 0 {
-					if trans == NoTrans {
-						Gemm32(NoTrans, NoTrans, alpha, t.View(i0, i0+bs, bs, rest), b.View(i0+bs, 0, rest, k), 1, bi)
-					} else {
-						Gemm32(Trans, NoTrans, alpha, t.View(i0+bs, i0, rest, bs), b.View(i0+bs, 0, rest, k), 1, bi)
-					}
-				}
-			}
-			return
-		}
-		for i0 := ((n - 1) / triBlock) * triBlock; i0 >= 0; i0 -= triBlock {
-			bs := min(triBlock, n-i0)
-			bi := b.View(i0, 0, bs, k)
-			trmmBasic32(Left, uplo, trans, diag, alpha32, t.View(i0, i0, bs, bs), bi)
-			if i0 > 0 {
-				if trans == NoTrans {
-					Gemm32(NoTrans, NoTrans, alpha, t.View(i0, 0, bs, i0), b.View(0, 0, i0, k), 1, bi)
-				} else {
-					Gemm32(Trans, NoTrans, alpha, t.View(0, i0, i0, bs), b.View(0, 0, i0, k), 1, bi)
-				}
-			}
-		}
-		return
-	}
-	m := b.Rows
-	if !effLower {
-		for j0 := ((n - 1) / triBlock) * triBlock; j0 >= 0; j0 -= triBlock {
-			bs := min(triBlock, n-j0)
-			bj := b.View(0, j0, m, bs)
-			trmmBasic32(Right, uplo, trans, diag, alpha32, t.View(j0, j0, bs, bs), bj)
-			if j0 > 0 {
-				if trans == NoTrans {
-					Gemm32(NoTrans, NoTrans, alpha, b.View(0, 0, m, j0), t.View(0, j0, j0, bs), 1, bj)
-				} else {
-					Gemm32(NoTrans, Trans, alpha, b.View(0, 0, m, j0), t.View(j0, 0, bs, j0), 1, bj)
-				}
-			}
-		}
-		return
-	}
-	for j0 := 0; j0 < n; j0 += triBlock {
-		bs := min(triBlock, n-j0)
-		bj := b.View(0, j0, m, bs)
-		rest := n - j0 - bs
-		trmmBasic32(Right, uplo, trans, diag, alpha32, t.View(j0, j0, bs, bs), bj)
-		if rest > 0 {
-			if trans == NoTrans {
-				Gemm32(NoTrans, NoTrans, alpha, b.View(0, j0+bs, m, rest), t.View(j0+bs, j0, rest, bs), 1, bj)
-			} else {
-				Gemm32(NoTrans, Trans, alpha, b.View(0, j0+bs, m, rest), t.View(j0, j0+bs, bs, rest), 1, bj)
-			}
-		}
-	}
-}
-
-// materializeTri32 writes op(T) densely into dst: triangle entries copied,
-// zeros off the triangle, exact ones on a Unit diagonal. op() is resolved
-// here so the packed multiply sees a plain NoTrans operand, and only the
-// stored triangle of t is read — values outside it (say, the R factor above
-// a Householder V) never leak into the product.
-func materializeTri32(dst, t *mat.Matrix, uplo Uplo, trans Transpose, diag Diag) {
-	n := t.Rows
-	effLower := (uplo == Lower) != (trans == Trans)
-	for i := 0; i < n; i++ {
-		row := dst.Row(i)
-		lo, hi := 0, i+1
-		if !effLower {
-			lo, hi = i, n
-		}
-		for j := 0; j < lo; j++ {
-			row[j] = 0
-		}
-		for j := hi; j < n; j++ {
-			row[j] = 0
-		}
-		if trans == Trans {
-			for j := lo; j < hi; j++ {
-				row[j] = t.At(j, i)
-			}
-		} else {
-			copy(row[lo:hi], t.Row(i)[lo:hi])
-		}
-		if diag == Unit {
-			row[i] = 1
-		}
-	}
-}
-
-// trmmBasic32 is the unblocked float32 triangular-multiply kernel behind
-// Trmm32.
-func trmmBasic32(side Side, uplo Uplo, trans Transpose, diag Diag, alpha float32, t, b *mat.Matrix) {
-	n := t.Rows
-	lower := uplo == Lower
-	if trans == Trans {
-		lower = !lower
-	}
-	get := func(i, j int) float32 {
-		if trans == Trans {
-			return float32(t.At(j, i))
-		}
-		return float32(t.At(i, j))
-	}
-	if side == Left {
-		if !lower {
-			for i := 0; i < n; i++ {
-				bi := b.Row(i)
-				if diag == NonUnit {
-					Scal32(get(i, i), bi)
-				}
-				for p := i + 1; p < n; p++ {
-					Axpy32(get(i, p), b.Row(p), bi)
-				}
-				Scal32(alpha, bi)
-			}
-		} else {
-			for i := n - 1; i >= 0; i-- {
-				bi := b.Row(i)
-				if diag == NonUnit {
-					Scal32(get(i, i), bi)
-				}
-				for p := 0; p < i; p++ {
-					Axpy32(get(i, p), b.Row(p), bi)
-				}
-				Scal32(alpha, bi)
-			}
-		}
-		return
-	}
-	if trans == Trans {
-		for r := 0; r < b.Rows; r++ {
-			row := b.Row(r)
-			if lower {
-				for j := 0; j < n; j++ {
-					s := Dot32(row[j+1:n], t.Row(j)[j+1:n])
-					if diag == NonUnit {
-						s += float32(row[j]) * float32(t.At(j, j))
-					} else {
-						s += float32(row[j])
-					}
-					row[j] = float64(alpha * s)
-				}
-			} else {
-				for j := n - 1; j >= 0; j-- {
-					s := Dot32(row[:j], t.Row(j)[:j])
-					if diag == NonUnit {
-						s += float32(row[j]) * float32(t.At(j, j))
-					} else {
-						s += float32(row[j])
-					}
-					row[j] = float64(alpha * s)
-				}
-			}
-		}
-		return
-	}
-	buf := mat.GetBuf32(n)
-	defer mat.PutBuf32(buf)
-	tmp := buf.Data[:n]
-	for r := 0; r < b.Rows; r++ {
-		row := b.Row(r)
-		for j := range tmp {
-			tmp[j] = 0
-		}
-		for p := 0; p < n; p++ {
-			v := float32(row[p])
-			if v == 0 {
-				continue
-			}
-			tr := t.Row(p)
-			if !lower {
-				if diag == NonUnit {
-					for j := p; j < n; j++ {
-						tmp[j] += v * float32(tr[j])
-					}
-				} else {
-					tmp[p] += v
-					for j := p + 1; j < n; j++ {
-						tmp[j] += v * float32(tr[j])
-					}
-				}
-			} else {
-				if diag == NonUnit {
-					for j := 0; j <= p; j++ {
-						tmp[j] += v * float32(tr[j])
-					}
-				} else {
-					for j := 0; j < p; j++ {
-						tmp[j] += v * float32(tr[j])
-					}
-					tmp[p] += v
-				}
-			}
-		}
-		for j := range row {
-			row[j] = float64(alpha * tmp[j])
 		}
 	}
 }

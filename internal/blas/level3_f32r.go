@@ -9,15 +9,16 @@ import (
 // Resident mixed-precision level-3 routines: float32 arithmetic on float32
 // storage.
 //
-// Gemm32R/Trsm32R/Trmm32R are the conversion-free siblings of
-// Gemm32/Trsm32/Trmm32: same blocking, same micro-kernel, same operation
-// order — the only difference is that operands are mat.Matrix32 tile images,
-// so packing is a pure copy instead of a fused f64→f32 conversion and the
-// merge writes float32 directly instead of widening. Because float32 widens
-// to float64 exactly, a resident kernel chain produces bit-identical values
-// to the round-on-read/widen-on-write chain on float64 storage; the
-// residency layer (package tile) relies on that identity to convert tiles
-// once per precision epoch instead of once per call.
+// Gemm32R/Trsm32R are the conversion-free siblings of Gemm32/Trsm32 (the
+// float32 TRMM pair shares one driver, trmm32.go): same blocking, same
+// micro-kernel, same operation order — the only difference is that operands
+// are mat.Matrix32 tile images, so packing is a pure copy instead of a fused
+// f64→f32 conversion and the merge writes float32 directly instead of
+// widening. Because float32 widens to float64 exactly, a resident kernel
+// chain produces bit-identical values to the round-on-read/widen-on-write
+// chain on float64 storage; the residency layer (package tile) relies on
+// that identity to convert tiles once per precision epoch instead of once
+// per call.
 
 // opShape32 returns (rows, cols) of op(A).
 func opShape32(a *mat.Matrix32, trans Transpose) (int, int) {
@@ -25,77 +26,6 @@ func opShape32(a *mat.Matrix32, trans Transpose) (int, int) {
 		return a.Rows, a.Cols
 	}
 	return a.Cols, a.Rows
-}
-
-// packA32R packs op(A)[i0:i0+mc, p0:p0+kc], scaled by alpha, into MR-tall
-// column-major float32 micro-panels — the same layout as packA32, minus the
-// conversion.
-func packA32R(buf []float32, a *mat.Matrix32, transA Transpose, alpha float32, i0, p0, mc, kc, mr int) {
-	for ir := 0; ir < mc; ir += mr {
-		rows := min(mr, mc-ir)
-		dst := buf[ir*kc:]
-		if transA == NoTrans {
-			for i := 0; i < rows; i++ {
-				src := a.Data[(i0+ir+i)*a.Stride+p0:][:kc]
-				for p, v := range src {
-					dst[p*mr+i] = alpha * v
-				}
-			}
-		} else {
-			for p := 0; p < kc; p++ {
-				src := a.Data[(p0+p)*a.Stride+i0+ir:][:rows]
-				d := dst[p*mr : p*mr+rows : p*mr+rows]
-				for i, v := range src {
-					d[i] = alpha * v
-				}
-			}
-		}
-		if rows < mr {
-			for p := 0; p < kc; p++ {
-				d := dst[p*mr:]
-				for i := rows; i < mr; i++ {
-					d[i] = 0
-				}
-			}
-		}
-	}
-}
-
-// packB32R packs op(B)[p0:p0+kc, j0:j0+nc] into NR-wide row-major float32
-// micro-panels — the same layout as packB32, minus the conversion.
-func packB32R(buf []float32, b *mat.Matrix32, transB Transpose, j0, p0, kc, nc, nr int) {
-	if transB == NoTrans {
-		for p := 0; p < kc; p++ {
-			row := b.Data[(p0+p)*b.Stride+j0:][:nc]
-			for jr := 0; jr < nc; jr += nr {
-				cols := min(nr, nc-jr)
-				d := buf[jr*kc+p*nr : jr*kc+p*nr+nr : jr*kc+p*nr+nr]
-				copy(d[:cols], row[jr:jr+cols])
-				for j := cols; j < nr; j++ {
-					d[j] = 0
-				}
-			}
-		}
-		return
-	}
-	for jr := 0; jr < nc; jr += nr {
-		cols := min(nr, nc-jr)
-		dst := buf[jr*kc:]
-		for j := 0; j < cols; j++ {
-			src := b.Data[(j0+jr+j)*b.Stride+p0:][:kc]
-			for p, v := range src {
-				dst[p*nr+j] = v
-			}
-		}
-		if cols < nr {
-			for p := 0; p < kc; p++ {
-				d := dst[p*nr:]
-				for j := cols; j < nr; j++ {
-					d[j] = 0
-				}
-			}
-		}
-	}
 }
 
 // Gemm32R computes C = alpha·op(A)·op(B) + beta·C on float32 storage. Same
@@ -141,10 +71,10 @@ func gemmPacked32R(transA, transB Transpose, alpha, beta float32, a, b, c *mat.M
 		for pc := 0; pc < k; pc += gemmKC {
 			kc := min(gemmKC, k-pc)
 			first, last := pc == 0, pc+gemmKC >= k
-			packB32R(bufB.Data, b, transB, jc, pc, kc, nc, nr)
+			packB32(bufB.Data, dense32(b), transB, jc, pc, kc, nc, nr)
 			for ic := 0; ic < m; ic += gemmMC {
 				mc := min(gemmMC, m-ic)
-				packA32R(bufA.Data, a, transA, alpha, ic, pc, mc, kc, mr)
+				packA32(bufA.Data, dense32(a), transA, alpha, ic, pc, mc, kc, mr)
 				for jr := 0; jr < nc; jr += nr {
 					bp := bufB.Data[jr*kc:]
 					for ir := 0; ir < mc; ir += mr {
@@ -399,244 +329,6 @@ func trsmBasic32R(side Side, uplo Uplo, trans Transpose, diag Diag, t, b *mat.Ma
 				}
 				row[j] = s
 			}
-		}
-	}
-}
-
-// Trmm32R computes B = alpha·op(T)·B (Side == Left) or B = alpha·B·op(T)
-// (Side == Right) in place on float32 storage: same dense-triangle packed
-// path as Trmm32 — identical gate, materialization, and in-place Gemm32R
-// call (see the aliasing contract on gemmPacked32) — so the two siblings
-// stay bit-identical.
-func Trmm32R(side Side, uplo Uplo, trans Transpose, diag Diag, alpha float64, t, b *mat.Matrix32) {
-	n := t.Rows
-	if t.Cols != n {
-		panic(fmt.Sprintf("blas: Trmm32R with non-square T %dx%d", t.Rows, t.Cols))
-	}
-	if side == Left && b.Rows != n {
-		panic(fmt.Sprintf("blas: Trmm32R Left shape mismatch T=%d B=%dx%d", n, b.Rows, b.Cols))
-	}
-	if side == Right && b.Cols != n {
-		panic(fmt.Sprintf("blas: Trmm32R Right shape mismatch T=%d B=%dx%d", n, b.Rows, b.Cols))
-	}
-	if n >= trmmPackMin && (side == Left || n <= gemmNC) {
-		tri, tribuf := mat.GetMatrix32(n, n)
-		defer mat.PutBuf32(tribuf)
-		materializeTri32R(tri, t, uplo, trans, diag)
-		if side == Left {
-			Gemm32R(NoTrans, NoTrans, alpha, tri, b, 0, b)
-		} else {
-			Gemm32R(NoTrans, NoTrans, alpha, b, tri, 0, b)
-		}
-		return
-	}
-	if n <= triBlock {
-		trmmBasic32R(side, uplo, trans, diag, float32(alpha), t, b)
-		return
-	}
-	alpha32 := float32(alpha)
-	effLower := (uplo == Lower) != (trans == Trans)
-	if side == Left {
-		k := b.Cols
-		if !effLower {
-			for i0 := 0; i0 < n; i0 += triBlock {
-				bs := min(triBlock, n-i0)
-				bi := b.View(i0, 0, bs, k)
-				rest := n - i0 - bs
-				trmmBasic32R(Left, uplo, trans, diag, alpha32, t.View(i0, i0, bs, bs), bi)
-				if rest > 0 {
-					if trans == NoTrans {
-						Gemm32R(NoTrans, NoTrans, alpha, t.View(i0, i0+bs, bs, rest), b.View(i0+bs, 0, rest, k), 1, bi)
-					} else {
-						Gemm32R(Trans, NoTrans, alpha, t.View(i0+bs, i0, rest, bs), b.View(i0+bs, 0, rest, k), 1, bi)
-					}
-				}
-			}
-			return
-		}
-		for i0 := ((n - 1) / triBlock) * triBlock; i0 >= 0; i0 -= triBlock {
-			bs := min(triBlock, n-i0)
-			bi := b.View(i0, 0, bs, k)
-			trmmBasic32R(Left, uplo, trans, diag, alpha32, t.View(i0, i0, bs, bs), bi)
-			if i0 > 0 {
-				if trans == NoTrans {
-					Gemm32R(NoTrans, NoTrans, alpha, t.View(i0, 0, bs, i0), b.View(0, 0, i0, k), 1, bi)
-				} else {
-					Gemm32R(Trans, NoTrans, alpha, t.View(0, i0, i0, bs), b.View(0, 0, i0, k), 1, bi)
-				}
-			}
-		}
-		return
-	}
-	m := b.Rows
-	if !effLower {
-		for j0 := ((n - 1) / triBlock) * triBlock; j0 >= 0; j0 -= triBlock {
-			bs := min(triBlock, n-j0)
-			bj := b.View(0, j0, m, bs)
-			trmmBasic32R(Right, uplo, trans, diag, alpha32, t.View(j0, j0, bs, bs), bj)
-			if j0 > 0 {
-				if trans == NoTrans {
-					Gemm32R(NoTrans, NoTrans, alpha, b.View(0, 0, m, j0), t.View(0, j0, j0, bs), 1, bj)
-				} else {
-					Gemm32R(NoTrans, Trans, alpha, b.View(0, 0, m, j0), t.View(j0, 0, bs, j0), 1, bj)
-				}
-			}
-		}
-		return
-	}
-	for j0 := 0; j0 < n; j0 += triBlock {
-		bs := min(triBlock, n-j0)
-		bj := b.View(0, j0, m, bs)
-		rest := n - j0 - bs
-		trmmBasic32R(Right, uplo, trans, diag, alpha32, t.View(j0, j0, bs, bs), bj)
-		if rest > 0 {
-			if trans == NoTrans {
-				Gemm32R(NoTrans, NoTrans, alpha, b.View(0, j0+bs, m, rest), t.View(j0+bs, j0, rest, bs), 1, bj)
-			} else {
-				Gemm32R(NoTrans, Trans, alpha, b.View(0, j0+bs, m, rest), t.View(j0, j0+bs, bs, rest), 1, bj)
-			}
-		}
-	}
-}
-
-// materializeTri32R writes op(T) densely into dst — the exact mirror of
-// materializeTri32: triangle entries copied, zeros off the triangle, exact
-// ones on a Unit diagonal, only the stored triangle of t read.
-func materializeTri32R(dst, t *mat.Matrix32, uplo Uplo, trans Transpose, diag Diag) {
-	n := t.Rows
-	effLower := (uplo == Lower) != (trans == Trans)
-	for i := 0; i < n; i++ {
-		row := dst.Row(i)
-		lo, hi := 0, i+1
-		if !effLower {
-			lo, hi = i, n
-		}
-		for j := 0; j < lo; j++ {
-			row[j] = 0
-		}
-		for j := hi; j < n; j++ {
-			row[j] = 0
-		}
-		if trans == Trans {
-			for j := lo; j < hi; j++ {
-				row[j] = t.At(j, i)
-			}
-		} else {
-			copy(row[lo:hi], t.Row(i)[lo:hi])
-		}
-		if diag == Unit {
-			row[i] = 1
-		}
-	}
-}
-
-// trmmBasic32R is the unblocked float32 triangular-multiply kernel behind
-// Trmm32R.
-func trmmBasic32R(side Side, uplo Uplo, trans Transpose, diag Diag, alpha float32, t, b *mat.Matrix32) {
-	n := t.Rows
-	lower := uplo == Lower
-	if trans == Trans {
-		lower = !lower
-	}
-	get := func(i, j int) float32 {
-		if trans == Trans {
-			return t.At(j, i)
-		}
-		return t.At(i, j)
-	}
-	if side == Left {
-		if !lower {
-			for i := 0; i < n; i++ {
-				bi := b.Row(i)
-				if diag == NonUnit {
-					Scal32R(get(i, i), bi)
-				}
-				for p := i + 1; p < n; p++ {
-					Axpy32R(get(i, p), b.Row(p), bi)
-				}
-				Scal32R(alpha, bi)
-			}
-		} else {
-			for i := n - 1; i >= 0; i-- {
-				bi := b.Row(i)
-				if diag == NonUnit {
-					Scal32R(get(i, i), bi)
-				}
-				for p := 0; p < i; p++ {
-					Axpy32R(get(i, p), b.Row(p), bi)
-				}
-				Scal32R(alpha, bi)
-			}
-		}
-		return
-	}
-	if trans == Trans {
-		for r := 0; r < b.Rows; r++ {
-			row := b.Row(r)
-			if lower {
-				for j := 0; j < n; j++ {
-					s := Dot32R(row[j+1:n], t.Row(j)[j+1:n])
-					if diag == NonUnit {
-						s += row[j] * t.At(j, j)
-					} else {
-						s += row[j]
-					}
-					row[j] = alpha * s
-				}
-			} else {
-				for j := n - 1; j >= 0; j-- {
-					s := Dot32R(row[:j], t.Row(j)[:j])
-					if diag == NonUnit {
-						s += row[j] * t.At(j, j)
-					} else {
-						s += row[j]
-					}
-					row[j] = alpha * s
-				}
-			}
-		}
-		return
-	}
-	buf := mat.GetBuf32(n)
-	defer mat.PutBuf32(buf)
-	tmp := buf.Data[:n]
-	for r := 0; r < b.Rows; r++ {
-		row := b.Row(r)
-		for j := range tmp {
-			tmp[j] = 0
-		}
-		for p := 0; p < n; p++ {
-			v := row[p]
-			if v == 0 {
-				continue
-			}
-			tr := t.Row(p)
-			if !lower {
-				if diag == NonUnit {
-					for j := p; j < n; j++ {
-						tmp[j] += v * tr[j]
-					}
-				} else {
-					tmp[p] += v
-					for j := p + 1; j < n; j++ {
-						tmp[j] += v * tr[j]
-					}
-				}
-			} else {
-				if diag == NonUnit {
-					for j := 0; j <= p; j++ {
-						tmp[j] += v * tr[j]
-					}
-				} else {
-					for j := 0; j < p; j++ {
-						tmp[j] += v * tr[j]
-					}
-					tmp[p] += v
-				}
-			}
-		}
-		for j := range row {
-			row[j] = alpha * tmp[j]
 		}
 	}
 }

@@ -2,11 +2,14 @@ package blas
 
 import "luqr/internal/mat"
 
-// Float32 packing for the mixed-precision GEMM path. Layout and blocking are
-// identical to the float64 pack (pack.go); the only difference is that the
-// float64 → float32 conversion is fused into the pack, so the demotion to
-// single precision costs no extra pass over memory and the micro-kernel
-// consumes pure float32 panels.
+// Float32 packing for the mixed-precision GEMM and TRMM paths. Layout and
+// blocking are identical to the float64 pack (pack.go). The packers are
+// generic over the storage element: on float64 storage the float64 →
+// float32 conversion is fused into the pack, so the demotion to single
+// precision costs no extra pass over memory; on float32 storage (resident
+// tile images) packing is a plain copy. Either way the micro-kernel
+// consumes pure float32 panels, and equal float32 values pack to equal
+// panels, which keeps the converting and resident kernels bit-identical.
 
 // The conversion inner loops are behind function variables so amd64 hosts
 // with AVX can swap in vectorized versions (VCVTPD2PS retires four
@@ -32,21 +35,51 @@ func cvtScaleStride32Generic(dst []float32, stride int, src []float64, alpha flo
 	}
 }
 
-// packA32 packs op(A)[i0:i0+mc, p0:p0+kc], scaled by alpha, into MR-tall
-// column-major float32 micro-panels (element (ir+i, p) at buf[ir*kc+p*mr+i]),
-// zero-padding rows past mc to a full MR.
-func packA32(buf []float32, a *mat.Matrix, transA Transpose, alpha float32, i0, p0, mc, kc, mr int) {
+// dense is a by-value row-major header over float32 or float64 storage: the
+// operand type of the generic packers and of the float32 TRMM driver.
+type dense[E float32 | float64] struct {
+	rows, cols, stride int
+	data               []E
+}
+
+func dense64(m *mat.Matrix) dense[float64] {
+	return dense[float64]{m.Rows, m.Cols, m.Stride, m.Data}
+}
+
+func dense32(m *mat.Matrix32) dense[float32] {
+	return dense[float32]{m.Rows, m.Cols, m.Stride, m.Data}
+}
+
+// view returns the rows×cols block at (i, j).
+func (d dense[E]) view(i, j, rows, cols int) dense[E] {
+	if rows == 0 || cols == 0 {
+		return dense[E]{rows: rows, cols: cols, stride: d.stride}
+	}
+	return dense[E]{rows, cols, d.stride, d.data[i*d.stride+j:]}
+}
+
+// packA32 packs op(A)[i0:i0+mc, p0:p0+kc], scaled by alpha and rounded to
+// float32, into MR-tall column-major micro-panels (element (ir+i, p) at
+// buf[ir*kc+p*mr+i]), zero-padding rows past mc to a full MR.
+func packA32[E float32 | float64](buf []float32, a dense[E], transA Transpose, alpha float32, i0, p0, mc, kc, mr int) {
+	a64, conv := any(a.data).([]float64)
 	for ir := 0; ir < mc; ir += mr {
 		rows := min(mr, mc-ir)
 		dst := buf[ir*kc:]
 		if transA == NoTrans {
 			for i := 0; i < rows; i++ {
-				src := a.Data[(i0+ir+i)*a.Stride+p0:][:kc]
-				cvtScaleStride32(dst[i:], mr, src, alpha)
+				off := (i0+ir+i)*a.stride + p0
+				if conv {
+					cvtScaleStride32(dst[i:], mr, a64[off:off+kc], alpha)
+					continue
+				}
+				for p, v := range a.data[off : off+kc] {
+					dst[p*mr+i] = alpha * float32(v)
+				}
 			}
 		} else {
 			for p := 0; p < kc; p++ {
-				src := a.Data[(p0+p)*a.Stride+i0+ir:][:rows]
+				src := a.data[(p0+p)*a.stride+i0+ir:][:rows]
 				d := dst[p*mr : p*mr+rows : p*mr+rows]
 				for i, v := range src {
 					d[i] = alpha * float32(v)
@@ -55,35 +88,30 @@ func packA32(buf []float32, a *mat.Matrix, transA Transpose, alpha float32, i0, 
 		}
 		if rows < mr {
 			for p := 0; p < kc; p++ {
-				d := dst[p*mr:]
-				for i := rows; i < mr; i++ {
-					d[i] = 0
-				}
+				clear(dst[p*mr+rows : p*mr+mr])
 			}
 		}
 	}
 }
 
-// packB32 packs op(B)[p0:p0+kc, j0:j0+nc] into NR-wide row-major float32
-// micro-panels (element (p, jr+j) at buf[jr*kc+p*nr+j]), zero-padding columns
-// past nc to a full NR.
-func packB32(buf []float32, b *mat.Matrix, transB Transpose, j0, p0, kc, nc, nr int) {
+// packB32 packs op(B)[p0:p0+kc, j0:j0+nc], rounded to float32, into NR-wide
+// row-major micro-panels (element (p, jr+j) at buf[jr*kc+p*nr+j]),
+// zero-padding columns past nc to a full NR.
+func packB32[E float32 | float64](buf []float32, b dense[E], transB Transpose, j0, p0, kc, nc, nr int) {
+	b64, conv := any(b.data).([]float64)
+	b32, _ := any(b.data).([]float32)
 	if transB == NoTrans {
-		// Convert each contiguous B row once with the vectorized helper,
-		// then split the float32 row into NR-wide panel chunks with cheap
-		// f32→f32 copies.
-		tmp := mat.GetBuf32(nc)
-		defer mat.PutBuf32(tmp)
-		row := tmp.Data[:nc]
 		for p := 0; p < kc; p++ {
-			cvtRow32(row, b.Data[(p0+p)*b.Stride+j0:][:nc])
+			off := (p0+p)*b.stride + j0
 			for jr := 0; jr < nc; jr += nr {
 				cols := min(nr, nc-jr)
 				d := buf[jr*kc+p*nr : jr*kc+p*nr+nr : jr*kc+p*nr+nr]
-				copy(d[:cols], row[jr:jr+cols])
-				for j := cols; j < nr; j++ {
-					d[j] = 0
+				if conv {
+					cvtRow32(d[:cols], b64[off+jr:off+jr+cols])
+				} else {
+					copy(d, b32[off+jr:off+jr+cols])
 				}
+				clear(d[cols:])
 			}
 		}
 		return
@@ -92,15 +120,18 @@ func packB32(buf []float32, b *mat.Matrix, transB Transpose, j0, p0, kc, nc, nr 
 		cols := min(nr, nc-jr)
 		dst := buf[jr*kc:]
 		for j := 0; j < cols; j++ {
-			src := b.Data[(j0+jr+j)*b.Stride+p0:][:kc]
-			cvtScaleStride32(dst[j:], nr, src, 1)
+			off := (j0+jr+j)*b.stride + p0
+			if conv {
+				cvtScaleStride32(dst[j:], nr, b64[off:off+kc], 1)
+				continue
+			}
+			for p, v := range b32[off : off+kc] {
+				dst[p*nr+j] = v
+			}
 		}
 		if cols < nr {
 			for p := 0; p < kc; p++ {
-				d := dst[p*nr:]
-				for j := cols; j < nr; j++ {
-					d[j] = 0
-				}
+				clear(dst[p*nr+cols : p*nr+nr])
 			}
 		}
 	}

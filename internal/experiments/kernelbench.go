@@ -75,7 +75,7 @@ func WriteKernelBench(nbs []int, reps int, out io.Writer) error {
 				Kernel: c.Kernel, NB: nb, NsPerOp: ns, GFlops: gf,
 			})
 		}
-		rep.Current = append(rep.Current, measureTrmm(nb, reps), measureGemm32(nb, reps))
+		rep.Current = append(rep.Current, measureTrmm(nb, reps), measureTrmm32(nb, reps), measureGemm32(nb, reps))
 		rep.Current = append(rep.Current, measureQRUpdates32(nb, reps)...)
 	}
 	enc := json.NewEncoder(out)
@@ -105,6 +105,22 @@ func measureTrmm(nb, reps int) KernelBenchEntry {
 	alpha := 1 / float64(nb)
 	return timeKernel("TRMM", nb, reps, flops.Trmm(nb, nb), func() {
 		blas.Trmm(blas.Left, blas.Upper, blas.Trans, blas.NonUnit, alpha, t, w)
+	})
+}
+
+// measureTrmm32 times the resident float32 packed TRMM — the one the
+// float32 QR updates run on Matrix32 tile images — in the same shape and
+// with the same n²·k model as measureTrmm, reported as "TRMM.f32", so
+// -diff-kernels prints its ratio to the TRMM row.
+func measureTrmm32(nb, reps int) KernelBenchEntry {
+	rng := rand.New(rand.NewSource(100))
+	t, w := upperTile(rng, nb), randTile(rng, nb)
+	t32, w32 := mat.NewMatrix32(nb, nb), mat.NewMatrix32(nb, nb)
+	t32.RoundFrom(t)
+	w32.RoundFrom(w)
+	alpha := 1 / float64(nb)
+	return timeKernel("TRMM.f32", nb, reps, flops.Trmm(nb, nb), func() {
+		blas.Trmm32R(blas.Left, blas.Upper, blas.Trans, blas.NonUnit, alpha, t32, w32)
 	})
 }
 

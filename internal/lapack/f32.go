@@ -178,23 +178,10 @@ func larftMerge32(t *mat.Matrix, j0, bs int, y *mat.Matrix) {
 	}
 }
 
-// subRows32 computes dst −= src row-wise at float32.
+// subRows32 is subRows at float32: C1 −= W.
 func subRows32(dst, src *mat.Matrix) {
 	for i := 0; i < dst.Rows; i++ {
-		d, s := dst.Row(i), src.Row(i)
-		for c := range d {
-			d[c] = float64(float32(d[c]) - float32(s[c]))
-		}
-	}
-}
-
-// addRows32 computes dst += src row-wise at float32.
-func addRows32(dst, src *mat.Matrix) {
-	for i := 0; i < dst.Rows; i++ {
-		d, s := dst.Row(i), src.Row(i)
-		for c := range d {
-			d[c] = float64(float32(d[c]) + float32(s[c]))
-		}
+		blas.Axpy32(-1, src.Row(i), dst.Row(i))
 	}
 }
 
@@ -298,42 +285,31 @@ func geqrtUnblocked32(a, t *mat.Matrix) {
 	}
 }
 
-// Unmqr32 is Unmqr at float32: W = VᵀC through the f32 TRMM/GEMM pair, T
-// applied by f32 TRMM, and the subtraction back into C at float32.
+// Unmqr32 is Unmqr at float32: W = VᵀC through the f32 TRMM-accumulate
+// and GEMM pair, T applied by the in-place f32 TRMM, and C −= V·W by the
+// mirror pair.
 func Unmqr32(trans blas.Transpose, v, t, c *mat.Matrix) {
 	m, n := v.Rows, v.Cols
 	if c.Rows != m {
 		panic(fmt.Sprintf("lapack: Unmqr32 shape mismatch V=%dx%d C=%dx%d", m, n, c.Rows, c.Cols))
 	}
 	k := c.Cols
-	v1 := v.View(0, 0, n, n)
-	c1 := c.View(0, 0, n, k)
-	w, wbuf := mat.GetMatrix(n, k)
+	v1, c1, tn := view(v, 0, 0, n, n), view(c, 0, 0, n, k), view(t, 0, 0, n, n)
+	v2, c2 := view(v, n, 0, m-n, n), view(c, n, 0, m-n, k)
+	wbuf := mat.GetBuf(n * k)
 	defer mat.PutBuf(wbuf)
-	w.CopyFrom(c1)
-	blas.Trmm32(blas.Left, blas.Lower, blas.Trans, blas.Unit, 1, v1, w)
+	w := wbuf.Matrix(n, k)
 	if m > n {
-		blas.Gemm32(blas.Trans, blas.NoTrans, 1, v.View(n, 0, m-n, n), c.View(n, 0, m-n, k), 1, w)
-	}
-	tview := t.View(0, 0, n, n)
-	if trans == blas.Trans {
-		blas.Trmm32(blas.Left, blas.Upper, blas.Trans, blas.NonUnit, 1, tview, w)
+		blas.Gemm32(blas.Trans, blas.NoTrans, 1, &v2, &c2, 0, w)
 	} else {
-		blas.Trmm32(blas.Left, blas.Upper, blas.NoTrans, blas.NonUnit, 1, tview, w)
+		w.Zero()
 	}
+	blas.TrmmAdd32(blas.Left, blas.Lower, blas.Trans, blas.Unit, 1, &v1, &c1, w)
+	blas.Trmm32(blas.Left, blas.Upper, trans, blas.NonUnit, 1, &tn, w)
+	blas.TrmmAdd32(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, -1, &v1, w, &c1)
 	if m > n {
-		w2, w2buf := mat.GetMatrix(n, k)
-		defer mat.PutBuf(w2buf)
-		w2.CopyFrom(w)
-		blas.Trmm32(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 1, v1, w2)
-		subRows32(c1, w2)
-		blas.Gemm32(blas.NoTrans, blas.NoTrans, -1, v.View(n, 0, m-n, n), w, 1, c.View(n, 0, m-n, k))
-		return
+		blas.Gemm32(blas.NoTrans, blas.NoTrans, -1, &v2, w, 1, &c2)
 	}
-	// m == n: the trailing GEMM is gone and W is dead after the
-	// subtraction, so V1·W runs in place without the scratch copy.
-	blas.Trmm32(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 1, v1, w)
-	subRows32(c1, w)
 }
 
 // Tsqrt32 is Tsqrt at float32; same V = [I; V2] contract, R's strictly
@@ -430,16 +406,13 @@ func Tsmqr32(trans blas.Transpose, v2, t, c1, c2 *mat.Matrix) {
 			m, n, c1.Rows, c1.Cols, c2.Rows, c2.Cols))
 	}
 	k := c1.Cols
-	w, wbuf := mat.GetMatrix(n, k)
+	tn := view(t, 0, 0, n, n)
+	wbuf := mat.GetBuf(n * k)
 	defer mat.PutBuf(wbuf)
+	w := wbuf.Matrix(n, k)
 	w.CopyFrom(c1)
 	blas.Gemm32(blas.Trans, blas.NoTrans, 1, v2, c2, 1, w)
-	tview := t.View(0, 0, n, n)
-	if trans == blas.Trans {
-		blas.Trmm32(blas.Left, blas.Upper, blas.Trans, blas.NonUnit, 1, tview, w)
-	} else {
-		blas.Trmm32(blas.Left, blas.Upper, blas.NoTrans, blas.NonUnit, 1, tview, w)
-	}
+	blas.Trmm32(blas.Left, blas.Upper, trans, blas.NonUnit, 1, &tn, w)
 	subRows32(c1, w)
 	blas.Gemm32(blas.NoTrans, blas.NoTrans, -1, v2, w, 1, c2)
 }
@@ -486,28 +459,24 @@ func Ttqrt32IB(r1, r2, t *mat.Matrix, ib int) {
 
 // ttqrtApply32 is ttqrtApply at float32.
 func ttqrtApply32(r1, r2, tb *mat.Matrix, j0, bs, rest int) {
-	c1 := r1.View(j0, j0+bs, bs, rest)
-	tri := r2.View(j0, j0, bs, bs)
-	c2bot := r2.View(j0, j0+bs, bs, rest)
-	w, wbuf := mat.GetMatrix(bs, rest)
+	c1 := view(r1, j0, j0+bs, bs, rest)
+	tri := view(r2, j0, j0, bs, bs)
+	c2bot := view(r2, j0, j0+bs, bs, rest)
+	d, c2top := view(r2, 0, j0, j0, bs), view(r2, 0, j0+bs, j0, rest)
+	wbuf := mat.GetBuf(bs * rest)
 	defer mat.PutBuf(wbuf)
-	w.CopyFrom(c1)
+	w := wbuf.Matrix(bs, rest)
+	w.CopyFrom(&c1)
 	if j0 > 0 {
-		blas.Gemm32(blas.Trans, blas.NoTrans, 1, r2.View(0, j0, j0, bs), r2.View(0, j0+bs, j0, rest), 1, w)
+		blas.Gemm32(blas.Trans, blas.NoTrans, 1, &d, &c2top, 1, w)
 	}
-	wt, wtbuf := mat.GetMatrix(bs, rest)
-	defer mat.PutBuf(wtbuf)
-	wt.CopyFrom(c2bot)
-	blas.Trmm32(blas.Left, blas.Upper, blas.Trans, blas.NonUnit, 1, tri, wt)
-	addRows32(w, wt)
+	blas.TrmmAdd32(blas.Left, blas.Upper, blas.Trans, blas.NonUnit, 1, &tri, &c2bot, w)
 	blas.Trmm32(blas.Left, blas.Upper, blas.Trans, blas.NonUnit, 1, tb, w)
-	subRows32(c1, w)
+	subRows32(&c1, w)
 	if j0 > 0 {
-		blas.Gemm32(blas.NoTrans, blas.NoTrans, -1, r2.View(0, j0, j0, bs), w, 1, r2.View(0, j0+bs, j0, rest))
+		blas.Gemm32(blas.NoTrans, blas.NoTrans, -1, &d, w, 1, &c2top)
 	}
-	wt.CopyFrom(w)
-	blas.Trmm32(blas.Left, blas.Upper, blas.NoTrans, blas.NonUnit, 1, tri, wt)
-	subRows32(c2bot, wt)
+	blas.TrmmAdd32(blas.Left, blas.Upper, blas.NoTrans, blas.NonUnit, -1, &tri, w, &c2bot)
 }
 
 // ttqrtUnblocked32 is ttqrtUnblocked at float32.
@@ -568,18 +537,13 @@ func Ttmqr32(trans blas.Transpose, v2, t, c1, c2 *mat.Matrix) {
 			v2.Rows, v2.Cols, c1.Rows, c1.Cols, c2.Rows, c2.Cols))
 	}
 	k := c1.Cols
-	w, wbuf := mat.GetMatrix(n, k)
+	tn := view(t, 0, 0, n, n)
+	wbuf := mat.GetBuf(n * k)
 	defer mat.PutBuf(wbuf)
-	w.CopyFrom(c2)
-	blas.Trmm32(blas.Left, blas.Upper, blas.Trans, blas.NonUnit, 1, v2, w)
-	addRows32(w, c1)
-	tview := t.View(0, 0, n, n)
-	if trans == blas.Trans {
-		blas.Trmm32(blas.Left, blas.Upper, blas.Trans, blas.NonUnit, 1, tview, w)
-	} else {
-		blas.Trmm32(blas.Left, blas.Upper, blas.NoTrans, blas.NonUnit, 1, tview, w)
-	}
+	w := wbuf.Matrix(n, k)
+	w.CopyFrom(c1)
+	blas.TrmmAdd32(blas.Left, blas.Upper, blas.Trans, blas.NonUnit, 1, v2, c2, w)
+	blas.Trmm32(blas.Left, blas.Upper, trans, blas.NonUnit, 1, &tn, w)
 	subRows32(c1, w)
-	blas.Trmm32(blas.Left, blas.Upper, blas.NoTrans, blas.NonUnit, 1, v2, w)
-	subRows32(c2, w)
+	blas.TrmmAdd32(blas.Left, blas.Upper, blas.NoTrans, blas.NonUnit, -1, v2, w, c2)
 }

@@ -187,24 +187,24 @@ func larftMerge32R(t *mat.Matrix32, j0, bs int, y *mat.Matrix32) {
 	}
 }
 
-// subRows32R computes dst −= src row-wise.
+// subRows32R is subRows on float32 storage: the identity block of a
+// [I; V2] reflector, C1 −= W.
 func subRows32R(dst, src *mat.Matrix32) {
 	for i := 0; i < dst.Rows; i++ {
-		d, s := dst.Row(i), src.Row(i)
-		for c := range d {
-			d[c] = d[c] - s[c]
-		}
+		blas.Axpy32R(-1, src.Row(i), dst.Row(i))
 	}
 }
 
-// addRows32R computes dst += src row-wise.
-func addRows32R(dst, src *mat.Matrix32) {
-	for i := 0; i < dst.Rows; i++ {
-		d, s := dst.Row(i), src.Row(i)
-		for c := range d {
-			d[c] = d[c] + s[c]
-		}
+// view32 is view for float32 tile images: a by-value sub-matrix header, so
+// the update kernels allocate nothing per call.
+func view32(m *mat.Matrix32, i, j, rows, cols int) mat.Matrix32 {
+	if i < 0 || j < 0 || rows < 0 || cols < 0 || i+rows > m.Rows || j+cols > m.Cols {
+		panic(fmt.Sprintf("lapack: view32 (%d,%d,%d,%d) out of range %dx%d", i, j, rows, cols, m.Rows, m.Cols))
 	}
+	if rows == 0 || cols == 0 {
+		return mat.Matrix32{Rows: rows, Cols: cols, Stride: m.Stride}
+	}
+	return mat.Matrix32{Rows: rows, Cols: cols, Stride: m.Stride, Data: m.Data[i*m.Stride+j:]}
 }
 
 // Geqrt32R is Geqrt32 on float32 storage: R and V in a, full T in t.
@@ -311,34 +311,22 @@ func Unmqr32R(trans blas.Transpose, v, t, c *mat.Matrix32) {
 		panic(fmt.Sprintf("lapack: Unmqr32R shape mismatch V=%dx%d C=%dx%d", m, n, c.Rows, c.Cols))
 	}
 	k := c.Cols
-	v1 := v.View(0, 0, n, n)
-	c1 := c.View(0, 0, n, k)
-	w, wbuf := mat.GetMatrix32(n, k)
+	v1, c1, tn := view32(v, 0, 0, n, n), view32(c, 0, 0, n, k), view32(t, 0, 0, n, n)
+	v2, c2 := view32(v, n, 0, m-n, n), view32(c, n, 0, m-n, k)
+	wbuf := mat.GetBuf32(n * k)
 	defer mat.PutBuf32(wbuf)
-	w.CopyFrom(c1)
-	blas.Trmm32R(blas.Left, blas.Lower, blas.Trans, blas.Unit, 1, v1, w)
+	w := wbuf.Matrix32(n, k)
 	if m > n {
-		blas.Gemm32R(blas.Trans, blas.NoTrans, 1, v.View(n, 0, m-n, n), c.View(n, 0, m-n, k), 1, w)
-	}
-	tview := t.View(0, 0, n, n)
-	if trans == blas.Trans {
-		blas.Trmm32R(blas.Left, blas.Upper, blas.Trans, blas.NonUnit, 1, tview, w)
+		blas.Gemm32R(blas.Trans, blas.NoTrans, 1, &v2, &c2, 0, w)
 	} else {
-		blas.Trmm32R(blas.Left, blas.Upper, blas.NoTrans, blas.NonUnit, 1, tview, w)
+		w.Zero()
 	}
+	blas.TrmmAdd32R(blas.Left, blas.Lower, blas.Trans, blas.Unit, 1, &v1, &c1, w)
+	blas.Trmm32R(blas.Left, blas.Upper, trans, blas.NonUnit, 1, &tn, w)
+	blas.TrmmAdd32R(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, -1, &v1, w, &c1)
 	if m > n {
-		w2, w2buf := mat.GetMatrix32(n, k)
-		defer mat.PutBuf32(w2buf)
-		w2.CopyFrom(w)
-		blas.Trmm32R(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 1, v1, w2)
-		subRows32R(c1, w2)
-		blas.Gemm32R(blas.NoTrans, blas.NoTrans, -1, v.View(n, 0, m-n, n), w, 1, c.View(n, 0, m-n, k))
-		return
+		blas.Gemm32R(blas.NoTrans, blas.NoTrans, -1, &v2, w, 1, &c2)
 	}
-	// m == n: the trailing GEMM is gone and W is dead after the
-	// subtraction, so V1·W runs in place without the scratch copy.
-	blas.Trmm32R(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 1, v1, w)
-	subRows32R(c1, w)
 }
 
 // Tsqrt32R is Tsqrt32 on float32 storage.
@@ -433,16 +421,13 @@ func Tsmqr32R(trans blas.Transpose, v2, t, c1, c2 *mat.Matrix32) {
 			m, n, c1.Rows, c1.Cols, c2.Rows, c2.Cols))
 	}
 	k := c1.Cols
-	w, wbuf := mat.GetMatrix32(n, k)
+	tn := view32(t, 0, 0, n, n)
+	wbuf := mat.GetBuf32(n * k)
 	defer mat.PutBuf32(wbuf)
+	w := wbuf.Matrix32(n, k)
 	w.CopyFrom(c1)
 	blas.Gemm32R(blas.Trans, blas.NoTrans, 1, v2, c2, 1, w)
-	tview := t.View(0, 0, n, n)
-	if trans == blas.Trans {
-		blas.Trmm32R(blas.Left, blas.Upper, blas.Trans, blas.NonUnit, 1, tview, w)
-	} else {
-		blas.Trmm32R(blas.Left, blas.Upper, blas.NoTrans, blas.NonUnit, 1, tview, w)
-	}
+	blas.Trmm32R(blas.Left, blas.Upper, trans, blas.NonUnit, 1, &tn, w)
 	subRows32R(c1, w)
 	blas.Gemm32R(blas.NoTrans, blas.NoTrans, -1, v2, w, 1, c2)
 }
@@ -488,28 +473,24 @@ func Ttqrt32RIB(r1, r2, t *mat.Matrix32, ib int) {
 
 // ttqrtApply32R is ttqrtApply32 on float32 storage.
 func ttqrtApply32R(r1, r2, tb *mat.Matrix32, j0, bs, rest int) {
-	c1 := r1.View(j0, j0+bs, bs, rest)
-	tri := r2.View(j0, j0, bs, bs)
-	c2bot := r2.View(j0, j0+bs, bs, rest)
-	w, wbuf := mat.GetMatrix32(bs, rest)
+	c1 := view32(r1, j0, j0+bs, bs, rest)
+	tri := view32(r2, j0, j0, bs, bs)
+	c2bot := view32(r2, j0, j0+bs, bs, rest)
+	d, c2top := view32(r2, 0, j0, j0, bs), view32(r2, 0, j0+bs, j0, rest)
+	wbuf := mat.GetBuf32(bs * rest)
 	defer mat.PutBuf32(wbuf)
-	w.CopyFrom(c1)
+	w := wbuf.Matrix32(bs, rest)
+	w.CopyFrom(&c1)
 	if j0 > 0 {
-		blas.Gemm32R(blas.Trans, blas.NoTrans, 1, r2.View(0, j0, j0, bs), r2.View(0, j0+bs, j0, rest), 1, w)
+		blas.Gemm32R(blas.Trans, blas.NoTrans, 1, &d, &c2top, 1, w)
 	}
-	wt, wtbuf := mat.GetMatrix32(bs, rest)
-	defer mat.PutBuf32(wtbuf)
-	wt.CopyFrom(c2bot)
-	blas.Trmm32R(blas.Left, blas.Upper, blas.Trans, blas.NonUnit, 1, tri, wt)
-	addRows32R(w, wt)
+	blas.TrmmAdd32R(blas.Left, blas.Upper, blas.Trans, blas.NonUnit, 1, &tri, &c2bot, w)
 	blas.Trmm32R(blas.Left, blas.Upper, blas.Trans, blas.NonUnit, 1, tb, w)
-	subRows32R(c1, w)
+	subRows32R(&c1, w)
 	if j0 > 0 {
-		blas.Gemm32R(blas.NoTrans, blas.NoTrans, -1, r2.View(0, j0, j0, bs), w, 1, r2.View(0, j0+bs, j0, rest))
+		blas.Gemm32R(blas.NoTrans, blas.NoTrans, -1, &d, w, 1, &c2top)
 	}
-	wt.CopyFrom(w)
-	blas.Trmm32R(blas.Left, blas.Upper, blas.NoTrans, blas.NonUnit, 1, tri, wt)
-	subRows32R(c2bot, wt)
+	blas.TrmmAdd32R(blas.Left, blas.Upper, blas.NoTrans, blas.NonUnit, -1, &tri, w, &c2bot)
 }
 
 // ttqrtUnblocked32R is ttqrtUnblocked32 on float32 storage.
@@ -569,18 +550,13 @@ func Ttmqr32R(trans blas.Transpose, v2, t, c1, c2 *mat.Matrix32) {
 			v2.Rows, v2.Cols, c1.Rows, c1.Cols, c2.Rows, c2.Cols))
 	}
 	k := c1.Cols
-	w, wbuf := mat.GetMatrix32(n, k)
+	tn := view32(t, 0, 0, n, n)
+	wbuf := mat.GetBuf32(n * k)
 	defer mat.PutBuf32(wbuf)
-	w.CopyFrom(c2)
-	blas.Trmm32R(blas.Left, blas.Upper, blas.Trans, blas.NonUnit, 1, v2, w)
-	addRows32R(w, c1)
-	tview := t.View(0, 0, n, n)
-	if trans == blas.Trans {
-		blas.Trmm32R(blas.Left, blas.Upper, blas.Trans, blas.NonUnit, 1, tview, w)
-	} else {
-		blas.Trmm32R(blas.Left, blas.Upper, blas.NoTrans, blas.NonUnit, 1, tview, w)
-	}
+	w := wbuf.Matrix32(n, k)
+	w.CopyFrom(c1)
+	blas.TrmmAdd32R(blas.Left, blas.Upper, blas.Trans, blas.NonUnit, 1, v2, c2, w)
+	blas.Trmm32R(blas.Left, blas.Upper, trans, blas.NonUnit, 1, &tn, w)
 	subRows32R(c1, w)
-	blas.Trmm32R(blas.Left, blas.Upper, blas.NoTrans, blas.NonUnit, 1, v2, w)
-	subRows32R(c2, w)
+	blas.TrmmAdd32R(blas.Left, blas.Upper, blas.NoTrans, blas.NonUnit, -1, v2, w, c2)
 }

@@ -214,6 +214,9 @@ func TestStoreByteCapEvicts(t *testing.T) {
 	if _, _, _, _, err := m.Solve(context.Background(), p1, rhs); err != nil {
 		t.Fatal(err)
 	}
+	// Spills land asynchronously: let p1's land first, so it is the coldest
+	// file when p2's spill pushes the store over the cap.
+	m.cache.waitSpills()
 	if _, _, _, _, err := m.Solve(context.Background(), p2, rhs); err != nil {
 		t.Fatal(err)
 	}
